@@ -32,7 +32,7 @@ use criterion::Criterion;
 use gem_bench::allocs;
 use gem_core::{BiSage, BiSageConfig, StepEvent};
 use gem_graph::{BipartiteGraph, WeightFn};
-use gem_nn::kernels::{self, Precision};
+use gem_nn::kernels;
 use gem_nn::{init, Backend};
 use gem_signal::rng::child_rng;
 use gem_signal::{MacAddr, SignalRecord};
@@ -97,7 +97,6 @@ fn bench_kernels(c: &mut Criterion) {
             out.fill(0.0);
             kernels::matmul_with(
                 Backend::Scalar,
-                Precision::Strict,
                 black_box(a.data()),
                 black_box(b.data()),
                 &mut out,
@@ -113,7 +112,6 @@ fn bench_kernels(c: &mut Criterion) {
             out.fill(0.0);
             kernels::matmul_tn_with(
                 Backend::Scalar,
-                Precision::Strict,
                 black_box(a_t.data()),
                 black_box(b.data()),
                 &mut out,
@@ -133,16 +131,7 @@ fn bench_kernels(c: &mut Criterion) {
                 }
             }
             out.fill(0.0);
-            kernels::matmul_with(
-                Backend::Scalar,
-                Precision::Strict,
-                black_box(a.data()),
-                &packed,
-                &mut out,
-                m,
-                k,
-                n,
-            );
+            kernels::matmul_with(Backend::Scalar, black_box(a.data()), &packed, &mut out, m, k, n);
             black_box(out[0])
         })
     });

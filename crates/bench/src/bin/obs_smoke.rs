@@ -7,9 +7,9 @@
 //! smoke also drains `/trace.jsonl` and validates the span stream:
 //! every record yields a six-stage span whose stages cover ≥90% of its
 //! end-to-end time, and the decision-latency histogram's bucket
-//! exemplars point back at real span trace ids. Also dumps the
-//! per-shard decision-trace rings and checks the expected event kinds
-//! showed up.
+//! exemplars point back at real span trace ids, the expected
+//! operational event kinds showed up, and a second scrape after a fresh
+//! snapshot serves only that round's events.
 //!
 //! The parsed `/metrics.json` scrape is appended to `BENCH_metrics.json`
 //! at the repo root (tagged `"bench": "metrics"`), so `bench_schema`
@@ -139,8 +139,9 @@ fn main() {
         ..FleetConfig::default()
     };
     let fleet = Fleet::spawn(monitors, cfg).unwrap();
-    let server = MetricsServer::bind_with_traces("127.0.0.1:0", fleet.registry(), fleet.trace_rings())
-        .expect("bind metrics");
+    let server =
+        MetricsServer::bind_with_traces("127.0.0.1:0", fleet.registry(), fleet.trace_rings())
+            .expect("bind metrics");
     let addr = server.local_addr();
     println!("metrics on http://{addr}/metrics");
 
@@ -229,7 +230,6 @@ fn main() {
     println!("/metrics.json OK ({} bytes)", json_body.len());
 
     // --- /trace.jsonl: request spans + operational events ---
-    // This drains the rings, so it must run before dump_traces below.
     let (status, headers, trace_body) = scrape(addr, "/trace.jsonl");
     assert!(status.contains("200"), "GET /trace.jsonl: {status}");
     assert!(
@@ -285,11 +285,8 @@ fn main() {
     }
     // The decision-latency histogram's bucket exemplars must point back
     // at spans that were actually retained in the drain above.
-    let exemplars: Vec<&str> = json_body
-        .split("\"exemplar\":\"")
-        .skip(1)
-        .map(|rest| &rest[..16])
-        .collect();
+    let exemplars: Vec<&str> =
+        json_body.split("\"exemplar\":\"").skip(1).map(|rest| &rest[..16]).collect();
     assert!(!exemplars.is_empty(), "traced run must expose at least one bucket exemplar");
     for ex in &exemplars {
         assert!(
@@ -305,30 +302,31 @@ fn main() {
         exemplars.len()
     );
 
-    // --- decision traces (file dump) ---
-    // The /trace.jsonl drain above emptied the rings; another snapshot
-    // round refills them so the dump has something real to write.
+    // --- /trace.jsonl again: the drain is destructive ---
+    // The scrape above emptied the rings; a fresh snapshot round refills
+    // them, and the next scrape serves that round and nothing already
+    // drained.
     fleet.snapshot().unwrap();
-    let trace_dir = dir.join("traces");
-    let paths = fleet.dump_traces(&trace_dir).unwrap();
-    assert_eq!(paths.len(), 2, "one trace file per shard");
-    let mut dump_kinds: Vec<String> = Vec::new();
-    for path in &paths {
-        for line in std::fs::read_to_string(path).unwrap().lines() {
+    let (status, _, trace_body) = scrape(addr, "/trace.jsonl");
+    assert!(status.contains("200"), "GET /trace.jsonl: {status}");
+    let kinds: Vec<String> = trace_body
+        .lines()
+        .map(|line| {
             let event: serde::Value = serde_json::from_str(line).expect("trace line parses");
             let kind = event
                 .as_object()
                 .and_then(|o| o.iter().find(|(k, _)| k == "kind"))
                 .and_then(|(_, v)| v.as_str())
                 .expect("trace event has a kind");
-            dump_kinds.push(kind.to_string());
-        }
-    }
+            kind.to_string()
+        })
+        .collect();
     assert!(
-        dump_kinds.iter().any(|k| k == "snapshot"),
-        "trace dump must contain the fresh snapshot event (got {dump_kinds:?})"
+        kinds.iter().any(|k| k == "snapshot"),
+        "the second scrape must serve the fresh snapshot event (got {kinds:?})"
     );
-    println!("traces OK: {} events across {} shards", dump_kinds.len(), paths.len());
+    assert!(!kinds.iter().any(|k| k == "span"), "drained spans must not be served twice");
+    println!("/trace.jsonl re-scrape OK: {} fresh events", kinds.len());
 
     fleet.shutdown().unwrap();
     drop(server);

@@ -5,8 +5,8 @@
 //! gem train    --dataset dataset.json --model model.json
 //! gem eval     --dataset dataset.json --model model.json
 //! gem stream   --dataset dataset.json --model model.json --alert-after 3
-//! gem fleet    --models a.json,b.json --datasets a-ds.json,b-ds.json --shards 4
-//! gem serve    --listen 127.0.0.1:7979 --model model.json --premises 12
+//! gem serve    --listen 127.0.0.1:7979 --model model.json --premises 12 --dir state
+//! gem serve    --listen 127.0.0.1:7979 --dir state    # restart: recover the fleet
 //! gem loadgen  --connect 127.0.0.1:7979 --devices 12
 //! gem info     --model model.json
 //! ```
@@ -57,7 +57,6 @@ fn run(argv: Vec<String>) -> Result<(), String> {
         "train" => train(&args),
         "eval" => eval(&args),
         "stream" => stream(&args),
-        "fleet" => fleet(&args),
         "serve" => serve(&args),
         "loadgen" => loadgen::run(&args),
         "trace" => trace::run(&args),
@@ -77,15 +76,12 @@ fn usage() -> String {
      \x20 train    --dataset FILE --model FILE [--dim D] [--epochs E] [--seed X]\n\
      \x20 eval     --dataset FILE --model FILE\n\
      \x20 stream   --dataset FILE --model FILE [--alert-after K] [--save-back]\n\
-     \x20 fleet    --models F1,F2,.. --datasets F1,F2,.. [--shards N] [--max-batch B]\n\
-     \x20          [--alert-after K] [--dir DIR] [--snapshot-secs S] [--recover]\n\
-     \x20          [--hot-cap N] [--metrics-addr HOST:PORT] [--trace-dir DIR] [--no-metrics]\n\
-     \x20          [--trace-sample F] [--trace-tail-ms MS]\n\
      \x20 serve    --listen HOST:PORT (--model FILE [--premises N] | --models F1,F2,..)\n\
      \x20          [--shards N] [--max-batch B] [--queue Q] [--alert-after K] [--dir DIR]\n\
      \x20          [--snapshot-secs S] [--hot-cap N] [--credit W] [--read-timeout-secs S]\n\
      \x20          [--duration-secs S] [--metrics-addr HOST:PORT] [--no-metrics]\n\
      \x20          [--trace-sample F] [--trace-tail-ms MS]\n\
+     \x20          (restart with --dir DIR and no --model/--models to recover DIR's fleet)\n\
      \x20 loadgen  --connect HOST:PORT [--devices N] [--scans-per-device N] [--user 1..10]\n\
      \x20          [--seed X] [--churn F] [--pace-ms MS] [--metrics HOST:PORT]\n\
      \x20          [--bench-out FILE] [--p99-ms MS] [--connect-timeout-secs S] [--trace]\n\
@@ -214,14 +210,15 @@ fn stream(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Fleet tuning shared by `gem fleet` and `gem serve`:
-/// `--shards`/`--max-batch`/`--queue` size the worker pool, `--dir`
-/// enables the write-ahead journal plus snapshots (`--snapshot-secs`
-/// and at shutdown), `--hot-cap` bounds resident premises per shard
-/// (idle tenants spill to their snapshot files and hydrate back on
-/// their next record; requires `--dir`, and must be at least 1 — omit
-/// the flag for an unbounded hot tier), `--no-metrics` turns
-/// histograms and tracing off (counters stay on).
+/// `gem serve`'s fleet tuning: `--shards`/`--max-batch`/`--queue` size
+/// the worker pool, `--dir` enables the write-ahead journal plus
+/// snapshots (`--snapshot-secs` and at shutdown), `--hot-cap` bounds
+/// resident premises per shard (idle tenants spill to their snapshot
+/// files and hydrate back on their next record; must be at least 1 —
+/// omit the flag for an unbounded hot tier), `--no-metrics` turns
+/// histograms and tracing off (counters stay on). The assembled config
+/// goes through [`gem_service::FleetConfig::validate`], which refuses
+/// `--hot-cap` or `--snapshot-secs` without `--dir`.
 fn fleet_config_from_args(args: &Args) -> Result<gem_service::FleetConfig, String> {
     use std::time::Duration;
 
@@ -247,8 +244,8 @@ fn fleet_config_from_args(args: &Args) -> Result<gem_service::FleetConfig, Strin
     }
     cfg.dir = args.get_parsed::<std::path::PathBuf>("dir")?;
     if let Some(secs) = args.get_parsed::<f64>("snapshot-secs")? {
-        if cfg.dir.is_none() {
-            return Err("--snapshot-secs requires --dir".into());
+        if !secs.is_finite() || secs <= 0.0 {
+            return Err("--snapshot-secs must be positive".into());
         }
         cfg.snapshot_interval = Some(Duration::from_secs_f64(secs));
     }
@@ -257,9 +254,6 @@ fn fleet_config_from_args(args: &Args) -> Result<gem_service::FleetConfig, Strin
             return Err(
                 "--hot-cap must be at least 1 (omit the flag for an unbounded hot tier)".into()
             );
-        }
-        if cfg.dir.is_none() {
-            return Err("--hot-cap requires --dir (cold premises spill to snapshots)".into());
         }
         cfg.hot_premises_per_shard = Some(cap);
     }
@@ -275,170 +269,8 @@ fn fleet_config_from_args(args: &Args) -> Result<gem_service::FleetConfig, Strin
         }
         cfg.obs.trace_tail_ms = ms;
     }
+    cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
-}
-
-/// Multi-tenant streaming: one premises per `--models`/`--datasets`
-/// pair, sharded across worker threads, with optional durability and
-/// crash recovery (`--recover` replays the journal before streaming) —
-/// see [`fleet_config_from_args`] for the shared tuning flags.
-/// `--metrics-addr` serves the
-/// fleet's registry as Prometheus text (`/metrics`) and JSON
-/// (`/metrics.json`) for the run's duration; `--trace-dir` dumps the
-/// per-shard decision-trace rings as JSONL at the end.
-fn fleet(args: &Args) -> Result<(), String> {
-    use gem_service::{Fleet, FleetEvent};
-    use std::time::Duration;
-
-    let cfg = fleet_config_from_args(args)?;
-    let alert_after = args.get_parsed::<usize>("alert-after")?.unwrap_or(3);
-
-    let datasets: Vec<Dataset> = match args.values_list("datasets") {
-        Some(paths) => paths
-            .iter()
-            .map(|p| {
-                let json = std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"))?;
-                serde_json::from_str(&json).map_err(|e| format!("parsing {p}: {e}"))
-            })
-            .collect::<Result<_, String>>()?,
-        None => Vec::new(),
-    };
-
-    let fleet = if args.flag("recover") {
-        if cfg.dir.is_none() {
-            return Err("--recover requires --dir".into());
-        }
-        let recovery = Fleet::recover(cfg).map_err(|e| e.to_string())?;
-        say!(
-            "recovered: {} journal epochs replayed, {} events regenerated",
-            recovery.replayed_epochs,
-            recovery.replayed.len()
-        );
-        recovery.fleet
-    } else {
-        let model_paths = args.values_list("models").ok_or("missing required option --models")?;
-        if model_paths.len() != datasets.len() {
-            return Err(format!(
-                "--models lists {} files but --datasets lists {}",
-                model_paths.len(),
-                datasets.len()
-            ));
-        }
-        let monitors = model_paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let gem = Gem::load(p).map_err(|e| format!("loading {p}: {e}"))?;
-                let monitor =
-                    Monitor::new(gem, MonitorConfig { alert_after, ..MonitorConfig::default() });
-                Ok((i as u64 + 1, monitor))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Fleet::spawn(monitors, cfg).map_err(|e| e.to_string())?
-    };
-
-    // The server lives until the end of this function: the final scrape
-    // a supervisor makes still sees the complete run. Shard trace rings
-    // ride along so `/trace.jsonl` serves retained spans.
-    let _metrics_server = match args.get_parsed::<String>("metrics-addr")? {
-        Some(addr) => {
-            let server =
-                gem_obs::MetricsServer::bind_with_traces(&addr, fleet.registry(), fleet.trace_rings())
-                    .map_err(|e| format!("binding metrics server on {addr}: {e}"))?;
-            say!("serving metrics on http://{}/metrics", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
-
-    // Interleave the streams round-robin, as concurrent devices would,
-    // backing off briefly when admission sheds. Events are drained
-    // *inside* the submit loop: the fleet's event channel is bounded,
-    // and a submitter that never drains would eventually stall the
-    // pipeline it is trying to fill.
-    use gem_service::{Admission, ShedReason};
-    let mut sheds = 0u64;
-    let mut events: Vec<FleetEvent> = Vec::new();
-    let drain = |events: &mut Vec<FleetEvent>| {
-        while let Ok(e) = fleet.events().try_recv() {
-            events.push(e);
-        }
-    };
-    let longest = datasets.iter().map(|d| d.test.len()).max().unwrap_or(0);
-    for k in 0..longest {
-        for (i, dataset) in datasets.iter().enumerate() {
-            let Some(t) = dataset.test.get(k) else { continue };
-            let premises_id = i as u64 + 1;
-            loop {
-                match fleet.submit(premises_id, t.record.clone()) {
-                    a if a.accepted() => break,
-                    Admission::Shed(ShedReason::QueueFull) => {
-                        // Transient: the shard is behind. Free the event
-                        // channel, give it a moment, retry.
-                        sheds += 1;
-                        drain(&mut events);
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Admission::Shed(reason) => {
-                        // UnknownPremises / Shutdown never clear up;
-                        // retrying would spin forever.
-                        return Err(format!(
-                            "premises {premises_id}: submission refused permanently ({reason:?})"
-                        ));
-                    }
-                    _ => unreachable!("non-shed admissions are accepted"),
-                }
-            }
-            drain(&mut events);
-        }
-    }
-    fleet.flush().map_err(|e| e.to_string())?;
-    drain(&mut events);
-    for FleetEvent { premises_id, event, .. } in events {
-        match event {
-            Event::AlertRaised { timestamp_s, consecutive_out } => {
-                say!(
-                    "premises {premises_id}  t={timestamp_s:8.1}s  ALERT raised \
-                     ({consecutive_out} consecutive outside scans)"
-                );
-            }
-            Event::AlertCleared { timestamp_s } => {
-                say!("premises {premises_id}  t={timestamp_s:8.1}s  alert cleared");
-            }
-            Event::Decision { .. } => {}
-        }
-    }
-    for (premises_id, stats) in fleet.stats().map_err(|e| e.to_string())? {
-        say!(
-            "premises {premises_id} (shard {}): {} scans in {} epochs, {} in / {} out, \
-             {} alerts, {} model updates",
-            fleet.route(premises_id).unwrap_or(0),
-            stats.scans,
-            stats.epochs,
-            stats.in_decisions,
-            stats.out_decisions,
-            stats.alerts,
-            stats.model_updates
-        );
-    }
-    if sheds > 0 {
-        say!("admission shed {sheds} submissions (retried until accepted)");
-    }
-    if fleet.dropped_events() > 0 {
-        say!("{} event notifications dropped (consumer fell behind)", fleet.dropped_events());
-    }
-    if let Some(trace_dir) = args.get_parsed::<std::path::PathBuf>("trace-dir")? {
-        let paths = fleet
-            .dump_traces(&trace_dir)
-            .map_err(|e| format!("writing traces to {}: {e}", trace_dir.display()))?;
-        say!("wrote {} trace files to {}", paths.len(), trace_dir.display());
-    }
-    let durable = fleet.snapshot_dir().map(|d| d.display().to_string());
-    fleet.shutdown().map_err(|e| e.to_string())?;
-    if let Some(dir) = durable {
-        say!("fleet state snapshotted to {dir}");
-    }
-    Ok(())
 }
 
 /// Network ingress: bind `--listen` and serve the wire protocol in
@@ -446,12 +278,16 @@ fn fleet(args: &Args) -> Result<(), String> {
 /// come from either `--models F1,F2,..` (premises 1..=N, one model
 /// file each) or `--model FILE --premises N` (N monitors hydrated from
 /// one snapshot — the loadgen's shape, where every simulated device
-/// watches the same world). `--credit` caps the per-connection credit
-/// window, `--read-timeout-secs` disconnects silent clients, and
-/// `--duration-secs` exits after a fixed time (default: serve until
-/// killed). Fleet tuning flags are shared with `gem fleet`
-/// ([`fleet_config_from_args`]); `--metrics-addr` exposes the registry
-/// — ingress counters included — over HTTP for the run's duration.
+/// watches the same world). With neither, `--dir` must hold a fleet
+/// manifest from an earlier run: the fleet is recovered from it, its
+/// journal replayed past each premises' snapshot. A model source on a
+/// directory that already holds a fleet is refused, so a restart never
+/// writes a new fleet over the old one. `--credit` caps the
+/// per-connection credit window, `--read-timeout-secs` disconnects
+/// silent clients, and `--duration-secs` exits after a fixed time
+/// (default: serve until killed). Fleet tuning flags are parsed by
+/// [`fleet_config_from_args`]; `--metrics-addr` exposes the registry —
+/// ingress counters included — over HTTP for the run's duration.
 fn serve(args: &Args) -> Result<(), String> {
     use gem_service::{Fleet, IngressConfig, IngressServer};
     use std::time::Duration;
@@ -486,7 +322,72 @@ fn serve(args: &Args) -> Result<(), String> {
         None => None,
     };
 
-    let monitors: Vec<(u64, Monitor)> = if let Some(model) = args.get_parsed::<String>("model")? {
+    // A model source spawns a new fleet. Without one, `--dir` must hold
+    // an earlier run's manifest, and that fleet is recovered instead.
+    let model = args.get_parsed::<String>("model")?;
+    let models = args.values_list("models");
+    let manifest_dir = cfg.dir.clone().filter(|d| d.join(gem_core::MANIFEST_FILE).exists());
+    let (mut fleet, premises) = if let Some(dir) = manifest_dir {
+        if model.is_some() || models.is_some() {
+            return Err(format!(
+                "--dir {} already holds a fleet: restart without --model/--models to recover it",
+                dir.display()
+            ));
+        }
+        let recovery = Fleet::recover(cfg).map_err(|e| e.to_string())?;
+        say!(
+            "recovered the fleet in {}: {} journal epochs replayed",
+            dir.display(),
+            recovery.replayed_epochs
+        );
+        (recovery.fleet, "recovered premises".to_string())
+    } else {
+        let monitors = load_monitors(args, model, models, mcfg)?;
+        let premises = format!("{} premises", monitors.len());
+        (Fleet::spawn(monitors, cfg).map_err(|e| e.to_string())?, premises)
+    };
+
+    let _metrics_server = match args.get_parsed::<String>("metrics-addr")? {
+        Some(addr) => {
+            let server = gem_obs::MetricsServer::bind_with_traces(
+                &addr,
+                fleet.registry(),
+                fleet.trace_rings(),
+            )
+            .map_err(|e| format!("binding metrics server on {addr}: {e}"))?;
+            say!("serving metrics on http://{}/metrics", server.local_addr());
+            Some(server)
+        }
+        None => None,
+    };
+
+    // The window the server will actually advertise in HELLO.
+    let advertised = (icfg.credit_window as usize).min(fleet.admission_quota()).max(1);
+    let ingress = IngressServer::bind(&listen, &mut fleet, icfg)
+        .map_err(|e| format!("binding ingress on {listen}: {e}"))?;
+    say!("ingress listening on {} ({premises}, credit window {advertised})", ingress.local_addr());
+
+    match duration {
+        Some(d) => std::thread::sleep(d),
+        // No duration: serve until the process is killed.
+        None => loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        },
+    }
+    drop(ingress);
+    fleet.shutdown().map_err(|e| e.to_string())?;
+    Ok(())
+}
+
+/// The premises of a new fleet: `--model FILE` hydrated `--premises N`
+/// times, or one premises per `--models` file.
+fn load_monitors(
+    args: &Args,
+    model: Option<String>,
+    models: Option<Vec<String>>,
+    mcfg: MonitorConfig,
+) -> Result<Vec<(u64, Monitor)>, String> {
+    if let Some(model) = model {
         let premises: usize = args.get_parsed("premises")?.unwrap_or(1);
         if premises == 0 {
             return Err("--premises must be at least 1".into());
@@ -501,11 +402,12 @@ fn serve(args: &Args) -> Result<(), String> {
                     .map_err(|e| format!("restoring {model}: {e}"))?;
                 Ok((id, Monitor::new(gem, mcfg)))
             })
-            .collect::<Result<_, String>>()?
+            .collect()
     } else {
-        let model_paths = args
-            .values_list("models")
-            .ok_or("serve needs --model FILE [--premises N] or --models F1,F2,..")?;
+        let model_paths = models.ok_or(
+            "serve needs --model FILE [--premises N], --models F1,F2,.. \
+             or a --dir holding a fleet to recover",
+        )?;
         model_paths
             .iter()
             .enumerate()
@@ -513,43 +415,8 @@ fn serve(args: &Args) -> Result<(), String> {
                 let gem = Gem::load(p).map_err(|e| format!("loading {p}: {e}"))?;
                 Ok((i as u64 + 1, Monitor::new(gem, mcfg)))
             })
-            .collect::<Result<_, String>>()?
-    };
-    let n_premises = monitors.len();
-    let mut fleet = Fleet::spawn(monitors, cfg).map_err(|e| e.to_string())?;
-
-    let _metrics_server = match args.get_parsed::<String>("metrics-addr")? {
-        Some(addr) => {
-            let server =
-                gem_obs::MetricsServer::bind_with_traces(&addr, fleet.registry(), fleet.trace_rings())
-                    .map_err(|e| format!("binding metrics server on {addr}: {e}"))?;
-            say!("serving metrics on http://{}/metrics", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
-
-    // The window the server will actually advertise in HELLO.
-    let advertised = (icfg.credit_window as usize).min(fleet.admission_quota()).max(1);
-    let ingress = IngressServer::bind(&listen, &mut fleet, icfg)
-        .map_err(|e| format!("binding ingress on {listen}: {e}"))?;
-    say!(
-        "ingress listening on {} ({} premises, credit window {})",
-        ingress.local_addr(),
-        n_premises,
-        advertised
-    );
-
-    match duration {
-        Some(d) => std::thread::sleep(d),
-        // No duration: serve until the process is killed.
-        None => loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        },
+            .collect()
     }
-    drop(ingress);
-    fleet.shutdown().map_err(|e| e.to_string())?;
-    Ok(())
 }
 
 fn info(args: &Args) -> Result<(), String> {
@@ -597,8 +464,6 @@ mod tests {
             run_with(&["serve", "--listen", "127.0.0.1:0", "--dir", "/tmp", "--hot-cap", "0"])
                 .unwrap_err();
         assert!(err.contains("--hot-cap"), "{err}");
-        let err = run_with(&["fleet", "--dir", "/tmp", "--hot-cap", "0"]).unwrap_err();
-        assert!(err.contains("--hot-cap"), "{err}");
         let err = run_with(&["loadgen", "--connect", "127.0.0.1:1", "--devices", "0"]).unwrap_err();
         assert!(err.contains("--devices"), "{err}");
         let err = run_with(&["loadgen", "--connect", "127.0.0.1:1", "--scans-per-device", "0"])
@@ -614,5 +479,51 @@ mod tests {
     fn serve_requires_a_model_source() {
         let err = run_with(&["serve", "--listen", "127.0.0.1:0"]).unwrap_err();
         assert!(err.contains("--model"), "{err}");
+    }
+
+    /// Knobs that need a durability directory are refused without one
+    /// (by `FleetConfig::validate`), before any model is read.
+    #[test]
+    fn durable_knobs_without_a_dir_are_refused() {
+        for flag in ["--hot-cap", "--snapshot-secs"] {
+            let err = run_with(&["serve", "--listen", "127.0.0.1:0", flag, "2", "--model", "none"])
+                .unwrap_err();
+            assert!(err.contains("durability dir"), "{flag}: {err}");
+        }
+    }
+
+    /// `gem serve --dir D` is the one way to run a durable fleet and to
+    /// recover it: a restart with no model source recovers D's fleet, a
+    /// model source on a D that holds a fleet is refused, and an empty
+    /// D with no model source is still a usage error.
+    #[test]
+    fn serve_recovers_a_fleet_directory_on_restart() {
+        let root =
+            std::env::temp_dir().join(format!("gem_cli_serve_recover_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let path = |name: &str| root.join(name).display().to_string();
+        let (ds, model, dir, empty) =
+            (path("ds.json"), path("m.json"), path("fleet"), path("empty"));
+        run_with(&["simulate", "--out", &ds, "--user", "1", "--train-secs", "60", "--test", "4"])
+            .unwrap();
+        run_with(&["train", "--dataset", &ds, "--model", &model, "--epochs", "1"]).unwrap();
+        let serve = |extra: &[&str]| {
+            let mut argv = vec!["serve", "--listen", "127.0.0.1:0", "--duration-secs", "0.2"];
+            argv.extend_from_slice(extra);
+            run_with(&argv)
+        };
+
+        serve(&["--dir", &dir, "--model", &model, "--premises", "2"]).unwrap();
+        serve(&["--dir", &dir]).unwrap();
+        let err = serve(&["--dir", &dir, "--model", &model]).unwrap_err();
+        assert!(err.contains("recover"), "{err}");
+        // The refused run left the fleet recoverable.
+        serve(&["--dir", &dir]).unwrap();
+
+        std::fs::create_dir_all(&empty).unwrap();
+        let err = serve(&["--dir", &empty]).unwrap_err();
+        assert!(err.contains("--model"), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -1,7 +1,7 @@
 //! `gem trace` — per-stage tail-latency attribution from span dumps.
 //!
 //! Ingests the JSONL emitted by a live fleet's `/trace.jsonl` endpoint
-//! (or `gem fleet --trace-dir`): every retained record produces one
+//! (`gem serve --metrics-addr`): every retained record produces one
 //! `span` event carrying its stage durations (ingress → queue →
 //! hydrate → journal → infer), and — when the record arrived over the
 //! network — a `span_ack` event for the reply write, joined here by
@@ -80,9 +80,10 @@ pub fn run(args: &Args) -> Result<(), String> {
             let value: Value = serde_json::from_str(line)
                 .map_err(|e| format!("{path}:{}: not JSON: {e}", lineno + 1))?;
             match field(&value, "kind").and_then(Value::as_str) {
-                Some("span") => spans.push(parse_span(&value).map_err(|e| {
-                    format!("{path}:{}: malformed span event: {e}", lineno + 1)
-                })?),
+                Some("span") => spans
+                    .push(parse_span(&value).map_err(|e| {
+                        format!("{path}:{}: malformed span event: {e}", lineno + 1)
+                    })?),
                 Some("span_ack") => {
                     let (trace, ns) = parse_ack(&value).map_err(|e| {
                         format!("{path}:{}: malformed span_ack event: {e}", lineno + 1)
@@ -188,7 +189,11 @@ pub fn run(args: &Args) -> Result<(), String> {
                 span.shard,
                 span.sampled,
                 fmt_ns(span.e2e_ns),
-                if breakdown.is_empty() { "all stages < 1ns".to_string() } else { breakdown.join(", ") },
+                if breakdown.is_empty() {
+                    "all stages < 1ns".to_string()
+                } else {
+                    breakdown.join(", ")
+                },
                 ack
             );
         }
@@ -290,12 +295,9 @@ mod tests {
 
     #[test]
     fn spans_parse_with_full_attribution() {
-        let value: Value = serde_json::from_str(&span_line(
-            "00000000000000ab",
-            1000,
-            [100, 200, 0, 400, 200, 50],
-        ))
-        .unwrap();
+        let value: Value =
+            serde_json::from_str(&span_line("00000000000000ab", 1000, [100, 200, 0, 400, 200, 50]))
+                .unwrap();
         let span = parse_span(&value).unwrap();
         assert_eq!(span.trace, "00000000000000ab");
         assert_eq!(span.stages, [100, 200, 0, 400, 200, 50]);

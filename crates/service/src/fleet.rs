@@ -25,11 +25,10 @@
 //!   the journaled epochs past each premises' manifest watermark and
 //!   reproduces the uninterrupted decision stream bit for bit.
 //! * **Tiered residency** — with
-//!   [`FleetConfig::hot_premises_per_shard`] (env override
-//!   `GEM_FLEET_HOT_CAP`), each shard keeps only an LRU hot tier of
-//!   models resident; idle premises spill to their snapshot files and
-//!   hydrate bitwise on their next record. RSS then tracks the hot
-//!   tier, not the tenant count.
+//!   [`FleetConfig::hot_premises_per_shard`], each shard keeps only an
+//!   LRU hot tier of models resident; idle premises spill to their
+//!   snapshot files and hydrate bitwise on their next record. RSS then
+//!   tracks the hot tier, not the tenant count.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -39,6 +38,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
+use serde::Serialize;
 
 use gem_core::{FleetManifest, GemSnapshot, PersistError, PremisesEntry};
 use gem_obs::{Counter, Registry, SpanContext, SpanIdGen, TraceEvent, TraceRing};
@@ -50,8 +50,51 @@ use crate::obs::{
     AdmissionObs, FleetStats, MonitorObs, ObsOptions, ShardAdmissionObs, ShardObs, ShardStats,
 };
 use crate::shard::{FleetEvent, PremisesSeed, RecordMeta, ShardMsg, ShardWorker, Stored};
-use crate::supervisor::{Admission, ShedReason};
 use crate::wire::WireTrace;
+
+/// Why a scan was refused at admission.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+pub enum ShedReason {
+    /// The ingress queue was full; the caller should retry or drop.
+    QueueFull,
+    /// The worker has shut down; no further scans will be accepted.
+    Shutdown,
+    /// The premises is not registered with the fleet.
+    UnknownPremises,
+}
+
+/// Outcome of submitting a scan — explicit backpressure, so callers can
+/// distinguish "processing" from "behind" from "dropped".
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+pub enum Admission {
+    /// Enqueued; the shard was idle or nearly so.
+    Accept,
+    /// Enqueued behind `depth - 1` earlier scans (including this one the
+    /// queue holds `depth`). A rising depth means ingest outpaces the
+    /// model — the precursor to shedding.
+    Queued {
+        /// Queue occupancy right after this scan was enqueued.
+        depth: usize,
+    },
+    /// Refused. The scan was *not* enqueued.
+    Shed(ShedReason),
+}
+
+impl Admission {
+    /// Whether the scan was enqueued (accepted or queued).
+    pub fn accepted(&self) -> bool {
+        !matches!(self, Admission::Shed(_))
+    }
+
+    /// Classifies an observed queue depth (occupancy *after* enqueue).
+    fn from_depth(depth: usize) -> Admission {
+        if depth <= 1 {
+            Admission::Accept
+        } else {
+            Admission::Queued { depth }
+        }
+    }
+}
 
 /// Fleet sizing and policy knobs.
 #[derive(Clone, Debug)]
@@ -67,13 +110,13 @@ pub struct FleetConfig {
     /// snapshots).
     pub dir: Option<PathBuf>,
     /// Auto-snapshot period. `None` snapshots only on `shutdown`.
+    /// Requires a durability `dir`.
     pub snapshot_interval: Option<Duration>,
     /// Hot-tier cap per shard: at most this many premises keep their
     /// model resident; the least-recently-decided idle ones spill to
     /// their snapshot files and hydrate back on their next record.
     /// `None` keeps everything resident. Requires a durability `dir`
-    /// (there is nowhere to spill otherwise); the env var
-    /// `GEM_FLEET_HOT_CAP` overrides it (`0` = unlimited).
+    /// (there is nowhere to spill otherwise).
     pub hot_premises_per_shard: Option<usize>,
     /// Observability knobs (see [`ObsOptions`]). Counters are always
     /// on; `enabled: false` skips histograms and trace rings.
@@ -94,9 +137,49 @@ impl Default for FleetConfig {
     }
 }
 
-/// Errors from fleet durability and recovery.
+impl FleetConfig {
+    /// Refuses contradictory or degenerate settings instead of
+    /// ignoring them: zero shards, zero-record epochs, a zero hot cap
+    /// or snapshot period, and a hot cap or snapshot period without a
+    /// durability directory. [`Fleet::spawn`] and [`Fleet::recover`]
+    /// both run this check.
+    pub fn validate(&self) -> Result<(), FleetError> {
+        let refuse = |msg: &str| Err(FleetError::Config(msg.into()));
+        if self.shards == 0 {
+            return refuse("a fleet needs at least one shard");
+        }
+        if self.max_batch == 0 {
+            return refuse("decision epochs need at least one record (max_batch >= 1)");
+        }
+        if self.queue_per_shard == 0 {
+            return refuse("shard queues need room for at least one record");
+        }
+        if self.hot_premises_per_shard == Some(0) {
+            return refuse("the hot-tier cap must be at least 1 (None keeps everything resident)");
+        }
+        if self.snapshot_interval == Some(Duration::ZERO) {
+            return refuse("the snapshot interval must be positive");
+        }
+        if self.dir.is_none() {
+            if self.hot_premises_per_shard.is_some() {
+                return refuse(
+                    "a hot-tier cap requires a durability dir (cold premises spill there)",
+                );
+            }
+            if self.snapshot_interval.is_some() {
+                return refuse("periodic snapshots require a durability dir");
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Errors from fleet configuration, durability and recovery.
 #[derive(Debug)]
 pub enum FleetError {
+    /// The configuration is contradictory or degenerate, or asks to
+    /// spawn over a directory that already holds a fleet.
+    Config(String),
     /// Snapshot/manifest/journal persistence failed.
     Persist(PersistError),
     /// A shard worker failed or disappeared.
@@ -108,6 +191,7 @@ pub enum FleetError {
 impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FleetError::Config(e) => write!(f, "fleet configuration refused: {e}"),
             FleetError::Persist(e) => write!(f, "fleet persistence error: {e}"),
             FleetError::Shard(e) => write!(f, "fleet shard error: {e}"),
             FleetError::Corrupt(e) => write!(f, "fleet durability state corrupt: {e}"),
@@ -381,8 +465,17 @@ pub fn shard_for(premises_id: u64, shards: usize) -> usize {
 
 impl Fleet {
     /// Spawns the shard workers around the given premises monitors.
-    /// Premises ids must be unique.
+    /// Premises ids must be unique. A durability directory that already
+    /// holds a fleet manifest is refused: its premises are recovered
+    /// with [`Fleet::recover`], never overwritten by a fresh fleet.
     pub fn spawn(premises: Vec<(u64, Monitor)>, cfg: FleetConfig) -> Result<Fleet, FleetError> {
+        if let Some(dir) = cfg.dir.as_ref().filter(|d| d.join(gem_core::MANIFEST_FILE).exists()) {
+            return Err(FleetError::Config(format!(
+                "{} already holds a fleet manifest; recover that fleet (Fleet::recover) \
+                 instead of spawning a new one over it",
+                dir.display()
+            )));
+        }
         Self::spawn_at(
             premises
                 .into_iter()
@@ -399,20 +492,10 @@ impl Fleet {
     /// recovery path spawns clean premises cold so startup cost tracks
     /// the journal backlog, not the tenant count.
     fn spawn_at(premises: Vec<(u64, PremisesSeed)>, cfg: FleetConfig) -> Result<Fleet, FleetError> {
-        assert!(cfg.shards >= 1, "a fleet needs at least one shard");
-        assert!(cfg.max_batch >= 1, "decision epochs need at least one record");
+        cfg.validate()?;
         if let Some(dir) = &cfg.dir {
             std::fs::create_dir_all(dir)?;
         }
-        // Hot-tier cap: env override first, config second; 0 disables.
-        let hot_cap = match std::env::var("GEM_FLEET_HOT_CAP") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(0) => None,
-                Ok(n) => Some(n),
-                Err(_) => cfg.hot_premises_per_shard,
-            },
-            Err(_) => cfg.hot_premises_per_shard,
-        };
         // Sized for a full backlog: each admitted record yields at most
         // one decision plus one alert transition, so a consumer that
         // drains at least once per `queue_per_shard` admissions never
@@ -480,7 +563,7 @@ impl Fleet {
                 seeds,
                 cfg.max_batch,
                 cfg.dir.as_ref(),
-                hot_cap,
+                cfg.hot_premises_per_shard,
                 Arc::clone(&depth),
                 inflight,
                 shard_obs[id].clone(),
@@ -715,7 +798,7 @@ impl Fleet {
     pub fn snapshot(&self) -> Result<(), FleetError> {
         let dir =
             self.cfg.dir.as_ref().ok_or_else(|| {
-                FleetError::Shard("snapshot requires a durability directory".into())
+                FleetError::Config("snapshot requires a durability directory".into())
             })?;
         let txs: Vec<Sender<ShardMsg>> = self.ingress.shards.iter().map(|s| s.tx.clone()).collect();
         let _guard = self.snapshot_lock.lock().unwrap_or_else(|p| p.into_inner());
@@ -771,31 +854,6 @@ impl Fleet {
     /// Scans shed because their premises was never registered.
     pub fn unknown_sheds(&self) -> u64 {
         self.ingress.admission.unknown_sheds.get()
-    }
-
-    /// The shard a premises routes to (diagnostics).
-    pub fn route(&self, premises_id: u64) -> Option<usize> {
-        self.ingress.gates.get(&premises_id).map(|g| g.shard)
-    }
-
-    /// Writes each shard's structured trace ring to
-    /// `<dir>/trace-shard-<i>.jsonl` (one JSON object per line, oldest
-    /// first). Returns the paths written.
-    pub fn dump_traces(&self, dir: impl AsRef<std::path::Path>) -> std::io::Result<Vec<PathBuf>> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let mut paths = Vec::with_capacity(self.ingress.shard_obs.len());
-        for (i, obs) in self.ingress.shard_obs.iter().enumerate() {
-            let path = dir.join(format!("trace-shard-{i}.jsonl"));
-            std::fs::write(&path, obs.ring.to_jsonl())?;
-            paths.push(path);
-        }
-        Ok(paths)
-    }
-
-    /// The durability directory, when the fleet runs durable.
-    pub fn snapshot_dir(&self) -> Option<&std::path::Path> {
-        self.cfg.dir.as_deref()
     }
 
     /// The per-shard trace rings, for serving `GET /trace.jsonl` via
@@ -884,7 +942,7 @@ impl Fleet {
         let dir = cfg
             .dir
             .clone()
-            .ok_or_else(|| FleetError::Shard("recovery requires a durability directory".into()))?;
+            .ok_or_else(|| FleetError::Config("recovery requires a durability directory".into()))?;
         let manifest = FleetManifest::load(&dir)?;
         manifest.verify_snapshots(&dir)?;
         // Journal entries grouped per premises, filtered to
@@ -963,7 +1021,7 @@ impl Fleet {
         }
         let fleet = Fleet::spawn_at(seeds, cfg)?;
         // Recovery provenance lands in the trace rings: which premises
-        // replayed how far, visible to the first `dump_traces` call.
+        // replayed how far, visible to the first `/trace.jsonl` scrape.
         for (premises_id, epochs, watermark) in recovered {
             let shard = shard_for(premises_id, fleet.cfg.shards);
             fleet.ingress.shard_obs[shard].trace(
@@ -1146,8 +1204,72 @@ mod tests {
             Admission::Shed(ShedReason::UnknownPremises)
         );
         assert_eq!(fleet.unknown_sheds(), 1);
+        // Shutdown hands back every monitor with its learned state.
         let monitors = fleet.shutdown().unwrap();
         assert_eq!(monitors.len(), 3);
+        for (_, m) in &monitors {
+            assert_eq!(m.stats().scans, 8);
+        }
+    }
+
+    #[test]
+    fn validate_refuses_degenerate_and_contradictory_configs() {
+        let dir = Some(PathBuf::from("unused"));
+        let refused = [
+            FleetConfig { shards: 0, ..FleetConfig::default() },
+            FleetConfig { max_batch: 0, ..FleetConfig::default() },
+            FleetConfig { queue_per_shard: 0, ..FleetConfig::default() },
+            FleetConfig { hot_premises_per_shard: Some(2), ..FleetConfig::default() },
+            FleetConfig {
+                snapshot_interval: Some(Duration::from_secs(1)),
+                ..FleetConfig::default()
+            },
+            FleetConfig {
+                dir: dir.clone(),
+                hot_premises_per_shard: Some(0),
+                ..FleetConfig::default()
+            },
+            FleetConfig {
+                dir: dir.clone(),
+                snapshot_interval: Some(Duration::ZERO),
+                ..FleetConfig::default()
+            },
+        ];
+        for cfg in refused {
+            assert!(matches!(cfg.validate(), Err(FleetError::Config(_))), "{cfg:?}");
+            // Spawning refuses the same configs instead of panicking or
+            // silently ignoring a knob.
+            assert!(matches!(Fleet::spawn(Vec::new(), cfg), Err(FleetError::Config(_))));
+        }
+        let durable = FleetConfig {
+            dir,
+            hot_premises_per_shard: Some(2),
+            snapshot_interval: Some(Duration::from_secs(1)),
+            ..FleetConfig::default()
+        };
+        durable.validate().unwrap();
+        FleetConfig::default().validate().unwrap();
+    }
+
+    #[test]
+    fn spawn_refuses_a_directory_holding_a_fleet() {
+        let dir = std::env::temp_dir().join("gem_fleet_spawn_over_manifest");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = FleetConfig { shards: 1, dir: Some(dir.clone()), ..FleetConfig::default() };
+        Fleet::spawn(Vec::new(), cfg.clone()).unwrap().shutdown().unwrap();
+        let manifest = std::fs::read(dir.join(gem_core::MANIFEST_FILE)).unwrap();
+
+        // A second spawn on the same directory would write new premises
+        // over the first fleet's manifest and journal: refused, with a
+        // pointer to recovery, and nothing on disk changes.
+        let err = Fleet::spawn(Vec::new(), cfg.clone()).err().expect("spawn over a manifest");
+        assert!(matches!(err, FleetError::Config(_)), "{err}");
+        assert!(err.to_string().contains("recover"), "{err}");
+        assert_eq!(std::fs::read(dir.join(gem_core::MANIFEST_FILE)).unwrap(), manifest);
+
+        // Recovery goes through the same spawn path and is not affected.
+        Fleet::recover(cfg).unwrap().fleet.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

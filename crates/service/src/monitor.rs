@@ -73,7 +73,7 @@ pub struct MonitorStats {
     #[serde(default)]
     pub epochs: u64,
     /// Scans refused at admission (queue full). Counted by the layer that
-    /// owns the queue — supervisor or fleet — never by the monitor itself.
+    /// owns the queue — the fleet — never by the monitor itself.
     #[serde(default)]
     pub sheds: u64,
 }

@@ -204,8 +204,8 @@ pub(crate) struct ShardWorker {
     /// Monotonic stamp source for `Session::last_touch`.
     lru_clock: u64,
     max_batch: usize,
-    /// Hot-tier cap. `None` (or no durability dir to spill into) keeps
-    /// every premises resident.
+    /// Hot-tier cap. `None` keeps every premises resident; a cap always
+    /// comes with a durability dir to spill into (`FleetConfig::validate`).
     hot_cap: Option<usize>,
     /// Durability dir — spill target and hydration source.
     dir: Option<PathBuf>,
@@ -698,13 +698,19 @@ impl ShardWorker {
                     }
                     if retained {
                         trace = meta.ctx.trace_id;
-                        self.emit_span(plan.premises_id, *epoch, meta, e2e_ns, SpanStamps {
-                            reached: reached.expect("tracing instants captured"),
-                            hydrated: hydrated.expect("tracing instants captured"),
-                            commit_done: commit_done.expect("tracing instants captured"),
-                            infer_done: infer_done.expect("tracing instants captured"),
-                            decided: now,
-                        });
+                        self.emit_span(
+                            plan.premises_id,
+                            *epoch,
+                            meta,
+                            e2e_ns,
+                            SpanStamps {
+                                reached: reached.expect("tracing instants captured"),
+                                hydrated: hydrated.expect("tracing instants captured"),
+                                commit_done: commit_done.expect("tracing instants captured"),
+                                infer_done: infer_done.expect("tracing instants captured"),
+                                decided: now,
+                            },
+                        );
                     }
                     rec_idx += 1;
                 }
@@ -979,9 +985,6 @@ impl ShardWorker {
     /// pass where everything is busy may briefly exceed it.
     fn enforce_hot_cap(&mut self) {
         let Some(cap) = self.hot_cap else { return };
-        if self.dir.is_none() {
-            return;
-        }
         while self.hot_ids.len() > cap {
             let mut victim: Option<(u64, u64)> = None;
             for &p in &self.hot_ids {

@@ -47,7 +47,7 @@ use std::io::{Read, Write};
 use gem_core::fnv1a64;
 use gem_signal::{MacAddr, Reading, SignalRecord};
 
-use crate::supervisor::{Admission, ShedReason};
+use crate::fleet::{Admission, ShedReason};
 
 /// Protocol version advertised in the HELLO frame.
 pub const WIRE_VERSION: u8 = 1;
@@ -620,8 +620,8 @@ mod tests {
             wire.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
             wire.extend_from_slice(&payload);
             let mut buf = Vec::new();
-            let err = read_frame(&mut std::io::Cursor::new(wire), MAX_FRAME_LEN, &mut buf)
-                .unwrap_err();
+            let err =
+                read_frame(&mut std::io::Cursor::new(wire), MAX_FRAME_LEN, &mut buf).unwrap_err();
             assert!(
                 matches!(err, WireError::BadPayload("record reading bytes")),
                 "{extra} extra bytes: {err}"

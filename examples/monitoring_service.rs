@@ -1,6 +1,6 @@
 //! The server-side deployment story: a monitoring service with alert
-//! debouncing, a background worker thread, and model persistence across
-//! "restarts".
+//! debouncing, a one-shard fleet as the background worker, and model
+//! persistence across "restarts".
 //!
 //! ```text
 //! cargo run --release --example monitoring_service
@@ -8,7 +8,10 @@
 
 use gem::core::{Gem, GemConfig};
 use gem::rfsim::{Scenario, ScenarioConfig};
-use gem::service::{Event, Monitor, MonitorConfig, Supervisor};
+use gem::service::{Event, Fleet, FleetConfig, Monitor, MonitorConfig};
+
+/// The one premises this service watches.
+const PREMISES: u64 = 1;
 
 fn main() {
     let mut cfg = ScenarioConfig::user(5);
@@ -24,21 +27,27 @@ fn main() {
     println!("model trained and persisted to {}", model_path.display());
 
     // The service starts (possibly days later, after a restart): restore
-    // the model and run the monitor on a worker thread.
+    // the model and run the monitor on a one-shard fleet's worker thread.
     let gem = Gem::load(&model_path).expect("load model");
     let monitor = Monitor::new(gem, MonitorConfig { alert_after: 3, clear_after: 2 });
-    let supervisor = Supervisor::spawn(monitor, 32);
+    // `max_batch: 1` makes every scan its own decision epoch: the paper's
+    // sequential semantics, whatever the queue timing.
+    let cfg = FleetConfig { shards: 1, max_batch: 1, ..FleetConfig::default() };
+    let fleet = Fleet::spawn(vec![(PREMISES, monitor)], cfg).expect("spawn fleet");
 
-    // Device uplink: scans arrive one by one.
+    // Device uplink: scans arrive one by one. A full queue sheds instead
+    // of blocking; this uplink simply retries.
     let n = dataset.test.len();
     for t in &dataset.test {
-        supervisor.submit(t.record.clone());
+        while !fleet.submit(PREMISES, t.record.clone()).accepted() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     // Alert handler: consume events as they stream out.
     let mut decisions = 0;
     while decisions < n {
-        match supervisor.events().recv() {
+        match fleet.events().recv().map(|e| e.event) {
             Ok(Event::Decision { .. }) => decisions += 1,
             Ok(Event::AlertRaised { timestamp_s, consecutive_out }) => {
                 println!(
@@ -54,7 +63,7 @@ fn main() {
 
     // Graceful shutdown: reclaim the monitor and persist the (self-
     // enhanced) model for the next session.
-    let monitor = supervisor.shutdown();
+    let (_, monitor) = fleet.shutdown().expect("shutdown").pop().expect("the premises' monitor");
     let stats = monitor.stats();
     println!(
         "\nsession: {} scans, {} in / {} out, {} alerts, {} online model updates",
