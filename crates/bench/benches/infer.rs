@@ -12,6 +12,13 @@
 //! bench-smoke job. The engine must also be at least 3x faster than the
 //! tape path on the single-record benchmark; the run fails otherwise.
 //!
+//! A second, hub fixture gives the live path's shape: a few MACs that
+//! every record hears, each with a degree of at least 20 × the inference
+//! cap, about a fifth of the records untrusted, and the MAC-aggregate
+//! cache dropped before every call (as each in-premises decision flips a
+//! trust bit live). It is timed as `engine_hub` and audited for
+//! allocations alongside the clustered fixture.
+//!
 //! `GEM_BENCH_QUICK=1` shrinks criterion sampling for CI smoke runs.
 
 use std::hint::black_box;
@@ -55,6 +62,23 @@ fn streamed_record(i: usize) -> SignalRecord {
     )
 }
 
+/// MACs every hub-fixture record hears.
+const HUB_MACS: u64 = 6;
+const HUB_TRAIN: u64 = 120;
+/// Streamed hub records: with the training ones, each hub MAC's degree
+/// is above 20 × the default inference cap of 48.
+const HUB_STREAMED: usize = 1000;
+
+/// The `i`-th hub-fixture scan: every hub MAC at a dBm-quantised
+/// strength (so edge weights tie heavily), plus the two MACs of one of
+/// the training set's 20-record blocks.
+fn hub_record(i: u64) -> SignalRecord {
+    let hubs = (0..HUB_MACS).map(|k| (MacAddr::from_raw(k), -45.0 - ((i * 7 + k * 3) % 30) as f32));
+    let block = HUB_MACS + (i % HUB_TRAIN / 20) * 2;
+    let own = (0..2).map(|k| (MacAddr::from_raw(block + k), -60.0 - (i % 4) as f32));
+    SignalRecord::from_pairs(i as f64, hubs.chain(own))
+}
+
 fn model_cfg() -> BiSageConfig {
     BiSageConfig {
         dim: 32,
@@ -91,6 +115,47 @@ fn fixture() -> Fixture {
         targets.push(rid);
     }
     Fixture { model, graph, targets, trusted }
+}
+
+/// Fits on `HUB_TRAIN` hub records and streams `HUB_STREAMED` more,
+/// every fifth untrusted (a scan decided outside stays in the graph).
+fn hub_fixture() -> Fixture {
+    let mut graph = BipartiteGraph::new(WeightFn::default());
+    for i in 0..HUB_TRAIN {
+        graph.add_record(&hub_record(i));
+    }
+    let mut model = BiSage::new(model_cfg());
+    model.fit(&graph);
+    let mut rng = child_rng(11, 0x1FE2);
+    let mut trusted = vec![true; graph.n_records()];
+    let mut targets = Vec::with_capacity(HUB_STREAMED);
+    for i in 0..HUB_STREAMED {
+        let rid = graph.add_record(&hub_record(HUB_TRAIN + i as u64));
+        trusted.push(i % 5 != 0);
+        let bits: &[bool] = &trusted;
+        let filter = move |r: RecordId| bits[r.0 as usize];
+        model.ensure_rows_for_record(&graph, rid, &mut rng, Some(&filter));
+        targets.push(rid);
+    }
+    Fixture { model, graph, targets, trusted }
+}
+
+/// Smallest hub-MAC degree and untrusted share of the hub fixture.
+fn hub_shape(fx: &Fixture) -> (usize, f64) {
+    let min_degree = (0..HUB_MACS)
+        .map(|k| fx.graph.mac_id(MacAddr::from_raw(k)).expect("hub MAC interned"))
+        .map(|m| fx.graph.degree(NodeId::Mac(m)))
+        .min()
+        .unwrap_or(0);
+    let untrusted = fx.trusted.iter().filter(|&&t| !t).count();
+    (min_degree, untrusted as f64 / fx.trusted.len() as f64)
+}
+
+/// One live-shaped embed: the cache is dropped first, as every
+/// in-premises decision does by flipping a trust bit.
+fn embed_uncached(engine: &mut InferenceEngine, fx: &Fixture, rid: RecordId, out: &mut Vec<f32>) {
+    engine.notify_trust_change();
+    engine.embed_record_into(&fx.model, &fx.graph, rid, Some(&fx.trusted), out);
 }
 
 fn bench_paths(c: &mut Criterion, fx: &Fixture) {
@@ -153,6 +218,25 @@ fn bench_paths(c: &mut Criterion, fx: &Fixture) {
     group.finish();
 }
 
+/// The hub fixture through the single-record engine, cache cold on
+/// every call.
+fn bench_hub(c: &mut Criterion, hub: &Fixture) {
+    let mut group = c.benchmark_group("streaming_inference_hub");
+    group.sample_size(30);
+    let mut engine = InferenceEngine::new();
+    let mut out = Vec::new();
+    let mut idx = 0usize;
+    group.bench_function("engine_hub", |b| {
+        b.iter(|| {
+            let rid = hub.targets[idx % hub.targets.len()];
+            idx += 1;
+            embed_uncached(&mut engine, black_box(hub), rid, &mut out);
+            black_box(&out);
+        })
+    });
+    group.finish();
+}
+
 /// Detector scoring: the histogram scorer over the training records'
 /// embeddings.
 fn bench_scoring(c: &mut Criterion, fx: &Fixture) {
@@ -209,6 +293,32 @@ fn audit_steady_state(fx: &Fixture) -> (f64, Option<u64>) {
     (hit_rate, audit)
 }
 
+/// The same allocation audit on the hub fixture, with the cache dropped
+/// before every call so each MAC's neighborhood is collected again.
+fn audit_hub(hub: &Fixture) -> Option<u64> {
+    let mut engine = InferenceEngine::new();
+    let mut out = Vec::new();
+    for &rid in &hub.targets {
+        embed_uncached(&mut engine, hub, rid, &mut out);
+    }
+    allocs::reset();
+    for &rid in &hub.targets {
+        embed_uncached(&mut engine, hub, rid, &mut out);
+    }
+    let audit = allocs::ENABLED.then(|| {
+        let total = allocs::stats().allocs;
+        assert_eq!(
+            total,
+            0,
+            "hub-fixture inference allocated {total} times over {} records",
+            hub.targets.len()
+        );
+        total
+    });
+    println!("hub fixture: allocs {audit:?}");
+    audit
+}
+
 #[derive(serde::Serialize)]
 struct InferBenchLine {
     bench: &'static str,
@@ -229,9 +339,15 @@ struct InferBenchLine {
     /// Which kernel backend the dispatcher resolved for this run.
     kernel_backend: &'static str,
     score_f64_median_ns: f64,
+    /// Smallest degree among the hub fixture's hub MACs.
+    hub_min_mac_degree: usize,
+    /// Share of the hub fixture's records that are untrusted.
+    hub_untrusted_frac: f64,
+    /// Median single-record engine embed on the hub fixture, cache cold.
+    hub_engine_single_median_ns: f64,
 }
 
-fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>) {
+fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>, hub: &Fixture) {
     let find = |name: &str| {
         c.reports()
             .iter()
@@ -242,6 +358,8 @@ fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>) {
     let engine = find("engine_single");
     let batch = find("engine_batch");
     let score_f64 = find("score_f64");
+    let engine_hub = find("engine_hub");
+    let (hub_min_mac_degree, hub_untrusted_frac) = hub_shape(hub);
     let speedup = tape.median_ns / engine.median_ns;
     assert!(
         speedup >= 3.0,
@@ -262,6 +380,9 @@ fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>) {
         allocs_per_inference: alloc_total,
         kernel_backend: gem_nn::kernels::backend_name(),
         score_f64_median_ns: score_f64.median_ns,
+        hub_min_mac_degree,
+        hub_untrusted_frac,
+        hub_engine_single_median_ns: engine_hub.median_ns,
     };
     let json = serde_json::to_string(&line).expect("serialize bench line");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_infer.json");
@@ -288,9 +409,17 @@ fn main() {
     }
     let mut c = Criterion::default();
     let fx = fixture();
+    let hub = hub_fixture();
+    let (hub_degree, _) = hub_shape(&hub);
+    assert!(
+        hub_degree >= 20 * model_cfg().inference_cap,
+        "hub fixture must exceed 20x the inference cap, has degree {hub_degree}"
+    );
     bench_paths(&mut c, &fx);
+    bench_hub(&mut c, &hub);
     bench_scoring(&mut c, &fx);
     let (hit_rate, alloc_total) = audit_steady_state(&fx);
+    let hub_allocs = audit_hub(&hub);
     c.final_summary();
-    append_results(&c, hit_rate, alloc_total);
+    append_results(&c, hit_rate, alloc_total.map(|n| n + hub_allocs.unwrap_or(0)), &hub);
 }

@@ -159,7 +159,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
 
     // The critical path: the slowest records, each decomposed.
-    spans.sort_by(|a, b| b.e2e_ns.cmp(&a.e2e_ns));
+    spans.sort_by_key(|s| std::cmp::Reverse(s.e2e_ns));
     let n = slowest.min(spans.len());
     if n > 0 {
         say!("");

@@ -548,7 +548,13 @@ impl BiSage {
     /// allocating. Semantics are identical to the allocating path:
     /// established-MAC / trusted-record filtering, raw-neighborhood
     /// fallback, top-`inference_cap` truncation.
-    pub(crate) fn neighborhood_into(
+    ///
+    /// A MAC's record side is read through the graph's weight order, so
+    /// it costs O(cap + skipped untrusted records), not O(degree · log
+    /// degree). Public (hidden) so the top-k parity proptests can check
+    /// it against the filter → stable sort → truncate reference.
+    #[doc(hidden)]
+    pub fn neighborhood_into(
         &self,
         graph: &BipartiteGraph,
         node: NodeId,
@@ -556,6 +562,10 @@ impl BiSage {
         out: &mut Vec<(NodeId, f32)>,
     ) {
         out.clear();
+        let r = match node {
+            NodeId::Record(r) => r,
+            NodeId::Mac(m) => return self.mac_neighborhood_into(graph, m, trusted, out),
+        };
         // A MAC is "established" once enough *trusted* records
         // have sighted it; until then it carries no reliable
         // in/out evidence and is left out of record expansions.
@@ -576,36 +586,79 @@ impl BiSage {
                 Some(f) => graph.mac_neighbors(m).filter(|&(r, _)| f(r)).take(need).count() >= need,
             }
         };
-        match node {
-            NodeId::Record(r) => out.extend(
-                graph
-                    .record_neighbors(r)
-                    .filter(|&(m, _)| established(m))
-                    .map(|(m, w)| (NodeId::Mac(m), w)),
-            ),
-            NodeId::Mac(m) => out.extend(
-                graph
-                    .mac_neighbors(m)
-                    .filter(|&(r, _)| trusted.is_none_or(|f| f(r)))
-                    .map(|(r, w)| (NodeId::Record(r), w)),
-            ),
-        }
+        out.extend(
+            graph
+                .record_neighbors(r)
+                .filter(|&(m, _)| established(m))
+                .map(|(m, w)| (NodeId::Mac(m), w)),
+        );
         // Freshly streamed nodes may have no established
         // neighbors at all; fall back to the raw neighborhood
         // rather than embedding from nothing.
         if out.is_empty() {
-            match node {
-                NodeId::Record(r) => {
-                    out.extend(graph.record_neighbors(r).map(|(m, w)| (NodeId::Mac(m), w)))
-                }
-                NodeId::Mac(m) => {
-                    out.extend(graph.mac_neighbors(m).map(|(r, w)| (NodeId::Record(r), w)))
-                }
-            }
+            out.extend(graph.record_neighbors(r).map(|(m, w)| (NodeId::Mac(m), w)));
         }
         if out.len() > self.cfg.inference_cap {
             out.sort_by(|a, b| b.1.total_cmp(&a.1));
             out.truncate(self.cfg.inference_cap);
+        }
+    }
+
+    /// The MAC branch of [`BiSage::neighborhood_into`]: the trusted
+    /// records next to `m` (all of them when none is trusted), in
+    /// adjacency order, cut to the `cap` heaviest by a stable sort when
+    /// more than `cap` remain. Walks [`BipartiteGraph::mac_weight_order`]
+    /// and stops at the `cap + 1`-th admitted record, which gives exactly
+    /// that list: more than `cap` admitted means the walk's first `cap`,
+    /// otherwise every admitted record, put back in adjacency order.
+    fn mac_neighborhood_into(
+        &self,
+        graph: &BipartiteGraph,
+        m: gem_graph::MacId,
+        trusted: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
+        out: &mut Vec<(NodeId, f32)>,
+    ) {
+        let cap = self.cfg.inference_cap;
+        let order = graph.mac_weight_order(m);
+        // Until `resolve`, each entry's record slot holds an adjacency
+        // position, so the short case can be put back in adjacency order
+        // without a second buffer.
+        let slot = |p: u32| (NodeId::Record(RecordId(p)), 0.0);
+        let pos = |n: NodeId| match n {
+            NodeId::Record(RecordId(p)) => p,
+            NodeId::Mac(_) => unreachable!("MAC neighbors are records"),
+        };
+        let resolve = |out: &mut Vec<(NodeId, f32)>| {
+            for entry in out.iter_mut() {
+                let (r, w) = graph.mac_neighbor_at(m, pos(entry.0));
+                *entry = (NodeId::Record(r), w);
+            }
+        };
+        if let Some(f) = trusted {
+            let mut admitted = 0usize;
+            for &p in order {
+                if f(graph.mac_neighbor_at(m, p).0) {
+                    admitted += 1;
+                    if admitted > cap {
+                        break;
+                    }
+                    out.push(slot(p));
+                }
+            }
+            if admitted > 0 {
+                if admitted <= cap {
+                    out.sort_unstable_by_key(|&(n, _)| pos(n));
+                }
+                resolve(out);
+                return;
+            }
+        }
+        // No filter, or nothing admitted: the raw neighborhood.
+        if order.len() > cap {
+            out.extend(order[..cap].iter().map(|&p| slot(p)));
+            resolve(out);
+        } else {
+            out.extend(graph.mac_neighbors(m).map(|(r, w)| (NodeId::Record(r), w)));
         }
     }
 

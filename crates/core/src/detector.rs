@@ -27,7 +27,7 @@ pub struct Detection {
 /// absorb confident in-premises samples online; the score normalization
 /// and thresholds never drift with the growing data size — that is the
 /// enhancement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EnhancedDetector {
     hist: HistogramModel,
     /// The initial training embeddings, kept as the *frozen reference
@@ -49,6 +49,105 @@ pub struct EnhancedDetector {
     pub tau_l: f64,
     /// Confident samples absorbed online.
     pub n_updates: usize,
+    /// Scoring state derived from `hist` and `reference`; never
+    /// serialized.
+    terms: ScoreTerms,
+}
+
+/// Table-driven scoring. The histogram ranges are frozen at fit, so a
+/// reference row's term slots never change; only the term table moves,
+/// once per absorbed sample.
+#[derive(Clone, Debug, Default)]
+struct ScoreTerms {
+    /// `hist.term_table_into` under the current counts.
+    table: Vec<f64>,
+    /// Row-major flat table index (`j · (bins + 1) + slot`) of every
+    /// reference row's components.
+    reference_slots: Vec<u32>,
+}
+
+impl ScoreTerms {
+    fn new(hist: &HistogramModel, reference: &[Vec<f32>]) -> Self {
+        let mut terms = ScoreTerms::default();
+        hist.term_table_into(&mut terms.table);
+        for row in reference {
+            terms.reference_slots.extend(
+                row.iter().enumerate().map(|(j, &v)| flat_slot(hist, j, hist.term_slot(j, v))),
+            );
+        }
+        terms
+    }
+
+    /// The terms at `slots` (one per dimension, in order) summed from
+    /// `0.0` in that order, as `HistogramModel::raw_score` adds them.
+    fn sum(&self, slots: impl IntoIterator<Item = u32>) -> f64 {
+        let mut score = 0.0f64;
+        for k in slots {
+            score += self.table[k as usize];
+        }
+        score
+    }
+
+    /// `hist.raw_score(sample)`, bitwise, from the table.
+    fn raw_score(&self, hist: &HistogramModel, sample: &[f32]) -> f64 {
+        assert_eq!(sample.len(), hist.dim(), "sample dimensionality mismatch");
+        self.sum(sample.iter().enumerate().map(|(j, &v)| flat_slot(hist, j, hist.term_slot(j, v))))
+    }
+}
+
+fn flat_slot(hist: &HistogramModel, j: usize, slot: usize) -> u32 {
+    (j * (hist.bins() + 1) + slot) as u32
+}
+
+/// The detector serializes as its eight stored fields, in declaration
+/// order; the derived scoring terms stay out of the image.
+impl Serialize for EnhancedDetector {
+    fn serialize(&self) -> serde::Value {
+        let field = |name: &str, value: serde::Value| (name.to_string(), value);
+        serde::Value::Object(vec![
+            field("hist", self.hist.serialize()),
+            field("reference", self.reference.serialize()),
+            field("score_min", self.score_min.serialize()),
+            field("score_max", self.score_max.serialize()),
+            field("temperature", self.temperature.serialize()),
+            field("tau_u", self.tau_u.serialize()),
+            field("tau_l", self.tau_l.serialize()),
+            field("n_updates", self.n_updates.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for EnhancedDetector {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let fields = value
+            .as_object()
+            .ok_or_else(|| serde::Error::type_mismatch("struct EnhancedDetector", value))?;
+        fn get<T: Deserialize>(
+            fields: &[(String, serde::Value)],
+            name: &str,
+        ) -> Result<T, serde::Error> {
+            T::deserialize(serde::get_field(fields, "EnhancedDetector", name)?)
+        }
+        let hist: HistogramModel = get(fields, "hist")?;
+        let reference: Vec<Vec<f32>> = get(fields, "reference")?;
+        if !hist.is_well_formed() || reference.iter().any(|r| r.len() != hist.dim()) {
+            return Err(serde::Error::custom(
+                "detector histograms and reference rows disagree on their shape",
+            ));
+        }
+        let terms = ScoreTerms::new(&hist, &reference);
+        Ok(EnhancedDetector {
+            hist,
+            reference,
+            score_min: get(fields, "score_min")?,
+            score_max: get(fields, "score_max")?,
+            temperature: get(fields, "temperature")?,
+            tau_u: get(fields, "tau_u")?,
+            tau_l: get(fields, "tau_l")?,
+            n_updates: get(fields, "n_updates")?,
+            terms,
+        })
+    }
 }
 
 impl EnhancedDetector {
@@ -61,7 +160,8 @@ impl EnhancedDetector {
         let raw = hist.raw_scores(train);
         let score_min = raw.iter().cloned().fold(f64::INFINITY, f64::min);
         let score_max = raw.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let reference = (0..train.rows()).map(|i| train.row(i).to_vec()).collect();
+        let reference: Vec<Vec<f32>> = (0..train.rows()).map(|i| train.row(i).to_vec()).collect();
+        let terms = ScoreTerms::new(&hist, &reference);
         EnhancedDetector {
             hist,
             reference,
@@ -71,16 +171,22 @@ impl EnhancedDetector {
             tau_u,
             tau_l,
             n_updates: 0,
+            terms,
         }
     }
 
     /// Recomputes the normalization bounds from the reference set's raw
-    /// scores under the *current* histograms.
+    /// scores under the *current* histograms. Rebuilds the term table
+    /// once, then sums each reference row's frozen slots — the same
+    /// bits as `hist.raw_score` over every row.
     fn reanchor(&mut self) {
+        self.hist.term_table_into(&mut self.terms.table);
+        let dim = self.hist.dim();
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
-        for r in &self.reference {
-            let s = self.hist.raw_score(r);
+        for i in 0..self.reference.len() {
+            let s =
+                self.terms.sum(self.terms.reference_slots[i * dim..(i + 1) * dim].iter().copied());
             min = min.min(s);
             max = max.max(s);
         }
@@ -123,7 +229,7 @@ impl EnhancedDetector {
     /// Min-max-normalized raw score `H̄(h) ∈ [0, 1]` (clamped for samples
     /// outside the training score range).
     pub fn normalized_raw(&self, sample: &[f32]) -> f64 {
-        let raw = self.hist.raw_score(sample);
+        let raw = self.terms.raw_score(&self.hist, sample);
         if self.score_max <= self.score_min {
             return 0.5;
         }
@@ -267,6 +373,8 @@ impl BaselineHbos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     /// Training cluster: mass around 0.5 per dim with a thin tail at 0.8
     /// (the clustered shape real embeddings have).
@@ -391,5 +499,160 @@ mod tests {
     #[should_panic(expected = "τ_l must be stricter")]
     fn rejects_inverted_thresholds() {
         EnhancedDetector::fit(&train_cluster(), 10, 0.06, 0.001, 0.005);
+    }
+
+    /// `score` through the per-row `raw_score` loop: the definition the
+    /// table-driven path must match bitwise.
+    fn reference_score(det: &EnhancedDetector, sample: &[f32]) -> f64 {
+        let raw = det.hist.raw_score(sample);
+        let h = if det.score_max <= det.score_min {
+            0.5
+        } else {
+            ((raw - det.score_min) / (det.score_max - det.score_min)).clamp(0.0, 1.0)
+        };
+        1.0 / (1.0 + (-(2.0 * h - 1.0) / det.temperature).exp())
+    }
+
+    /// Normalization bounds through the per-row `raw_score` loop.
+    fn reference_bounds(det: &EnhancedDetector) -> (u64, u64) {
+        let raw = det.reference.iter().map(|r| det.hist.raw_score(r));
+        let min = raw.clone().fold(f64::INFINITY, f64::min);
+        let max = raw.fold(f64::NEG_INFINITY, f64::max);
+        (min.to_bits(), max.to_bits())
+    }
+
+    /// A random detector input: clustered columns, some constant
+    /// (degenerate) columns, and a random bin count.
+    fn random_train(rng: &mut StdRng) -> (Tensor, usize) {
+        let rows = rng.random_range(1..40usize);
+        let dim = rng.random_range(1..6usize);
+        let constant: Vec<bool> = (0..dim).map(|_| rng.random_range(0..3usize) == 0).collect();
+        let vals: Vec<f32> = (0..rows * dim).map(|_| rng.random_range(0.3..0.7f32)).collect();
+        let train =
+            Tensor::from_fn(rows, dim, |i, j| if constant[j] { 0.25 } else { vals[i * dim + j] });
+        (train, rng.random_range(1..12usize))
+    }
+
+    /// A probe sample: in range, just outside, far out, or exactly on a
+    /// degenerate column's constant.
+    fn random_sample(rng: &mut StdRng, dim: usize) -> Vec<f32> {
+        (0..dim)
+            .map(|_| match rng.random_range(0..4usize) {
+                0 => rng.random_range(0.25..0.75f32),
+                1 => 0.25,
+                2 => rng.random_range(-5.0..5.0f32),
+                _ => rng.random_range(0.68..0.72f32),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Under random update sequences the table re-anchor and the
+        /// table-driven `detect` equal the per-row `raw_score` loop
+        /// bitwise, for degenerate columns and out-of-range samples too.
+        #[test]
+        fn table_scoring_matches_per_row_raw_scores(seed in 0u64..1 << 32) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (train, bins) = random_train(&mut rng);
+            let mut det = EnhancedDetector::fit(&train, bins, 0.06, 0.5, 0.4);
+            for _ in 0..rng.random_range(0..30usize) {
+                let sample = random_sample(&mut rng, train.cols());
+                // Absorb regardless of confidence, to reach bins a
+                // calibrated detector would rarely update.
+                let forced = Detection { score: 0.0, is_outlier: false, confident_inlier: true };
+                det.update_if_confident(&sample, &forced);
+                let (min, max) = reference_bounds(&det);
+                proptest::prop_assert_eq!(det.score_min.to_bits(), min);
+                proptest::prop_assert_eq!(det.score_max.to_bits(), max);
+                for _ in 0..4 {
+                    let probe = random_sample(&mut rng, train.cols());
+                    let got = det.detect(&probe);
+                    proptest::prop_assert_eq!(
+                        det.terms.raw_score(&det.hist, &probe).to_bits(),
+                        det.hist.raw_score(&probe).to_bits()
+                    );
+                    proptest::prop_assert_eq!(got.score.to_bits(), reference_score(&det, &probe).to_bits());
+                }
+            }
+        }
+    }
+
+    /// The detector as `#[derive(Serialize)]` wrote it before its scoring
+    /// terms existed: the image must not change by a byte.
+    #[derive(Serialize)]
+    struct DerivedImage {
+        hist: HistogramModel,
+        reference: Vec<Vec<f32>>,
+        score_min: f64,
+        score_max: f64,
+        temperature: f64,
+        tau_u: f64,
+        tau_l: f64,
+        n_updates: usize,
+    }
+
+    #[test]
+    fn json_image_keeps_keys_order_and_bytes() {
+        let mut det =
+            EnhancedDetector::fit_calibrated(&train_cluster(), 10, 0.06, 0.005, 0.001, 0.98, 0.9);
+        for _ in 0..5 {
+            det.detect_and_update(&inlier());
+        }
+        let json = serde_json::to_string(&det).unwrap();
+        let derived = DerivedImage {
+            hist: det.hist.clone(),
+            reference: det.reference.clone(),
+            score_min: det.score_min,
+            score_max: det.score_max,
+            temperature: det.temperature,
+            tau_u: det.tau_u,
+            tau_l: det.tau_l,
+            n_updates: det.n_updates,
+        };
+        assert_eq!(json, serde_json::to_string(&derived).unwrap());
+        let keys: Vec<String> =
+            det.serialize().as_object().unwrap().iter().map(|(k, _)| k.clone()).collect();
+        let want = [
+            "hist",
+            "reference",
+            "score_min",
+            "score_max",
+            "temperature",
+            "tau_u",
+            "tau_l",
+            "n_updates",
+        ];
+        assert_eq!(keys, want);
+
+        // Round-trip: same bytes, same scores, and the same state after
+        // the same further updates.
+        let mut back: EnhancedDetector = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        for s in [inlier(), outlier(), [0.8, 0.8, 0.5, 0.5]] {
+            assert_eq!(back.detect(&s), det.detect(&s));
+        }
+        for _ in 0..3 {
+            back.detect_and_update(&inlier());
+            det.detect_and_update(&inlier());
+        }
+        assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&det).unwrap());
+    }
+
+    #[test]
+    fn mis_shaped_image_is_refused() {
+        let det = EnhancedDetector::fit(&train_cluster(), 10, 0.06, 0.005, 0.001);
+        let json = serde_json::to_string(&det).unwrap();
+        // One reference component too many, and histograms whose bin
+        // count disagrees with their counts.
+        for bad in [
+            json.replacen("\"reference\":[[", "\"reference\":[[0.5,", 1),
+            json.replacen("\"bins\":10", "\"bins\":11", 1),
+        ] {
+            assert_ne!(bad, json);
+            let err = serde_json::from_str::<EnhancedDetector>(&bad).unwrap_err();
+            assert!(format!("{err:?}").contains("shape"), "{err:?}");
+        }
     }
 }

@@ -67,6 +67,15 @@ impl HistogramModel {
         self.bins
     }
 
+    /// Whether the stored ranges and counts have the lengths `dim` and
+    /// `bins` promise (a deserialized model may not).
+    pub(crate) fn is_well_formed(&self) -> bool {
+        self.bins >= 1
+            && self.mins.len() == self.dim
+            && self.maxs.len() == self.dim
+            && self.counts.len() == self.dim * self.bins
+    }
+
     /// Bin index for in-range values, clamping into the edge bins.
     fn bin_clamped(&self, j: usize, v: f32) -> usize {
         let lo = self.mins[j];
@@ -123,6 +132,28 @@ impl HistogramModel {
             score += (1.0 / height).ln();
         }
         score
+    }
+
+    /// Slot of `v` in dimension `j`'s row of
+    /// [`HistogramModel::term_table_into`]: its scoring bin, or `bins`
+    /// when out of range. Depends only on the ranges frozen at fit.
+    pub(crate) fn term_slot(&self, j: usize, v: f32) -> usize {
+        self.bin_scored(j, v).unwrap_or(self.bins)
+    }
+
+    /// The `ln(1 / height)` term [`HistogramModel::raw_score`] adds for
+    /// every (dimension, slot): row-major `dim × (bins + 1)`, the last
+    /// slot of each row for out-of-range values. Summing a sample's terms
+    /// over `j` in order, from `0.0`, reproduces `raw_score` bitwise.
+    pub(crate) fn term_table_into(&self, table: &mut Vec<f64>) {
+        table.clear();
+        for j in 0..self.dim {
+            let row = &self.counts[j * self.bins..(j + 1) * self.bins];
+            let max_count = row.iter().cloned().fold(0.0f64, f64::max).max(1.0);
+            let floor = 0.5 / max_count;
+            table.extend(row.iter().map(|&c| (1.0 / (c / max_count).max(floor)).ln()));
+            table.push((1.0 / floor).ln());
+        }
     }
 
     /// Raw scores of a whole embedding matrix.

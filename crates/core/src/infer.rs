@@ -18,6 +18,12 @@
 //!   so the engine evaluates half of the tape's `(chain, depth)` grid.
 //!   Every op is row- and element-independent, so the result is bitwise
 //!   identical to the tape's.
+//! - **Bounded neighborhoods.** A MAC's record side comes from the
+//!   graph's weight order ([`gem_graph::BipartiteGraph::mac_weight_order`]),
+//!   walked until `inference_cap + 1` records pass the trust filter. So
+//!   a MAC costs O(cap + skipped untrusted records), not O(degree ·
+//!   log degree), however many records the session has added to it, and
+//!   the result is bitwise the filter → stable sort → truncate list.
 //! - **Per-MAC aggregate cache.** For the default two-round model the
 //!   only shareable intermediate is each MAC's round-1 carrier `l¹` (the
 //!   level-`K−1` aggregate). Entries are tagged with the trust epoch and

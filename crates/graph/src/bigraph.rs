@@ -95,6 +95,13 @@ impl Adjacency {
         self.cumw.push(prev + weight as f64);
     }
 
+    /// Positions `0..len` stably sorted by descending weight.
+    fn weight_order(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.nbrs.len() as u32).collect();
+        order.sort_by(|&a, &b| self.nbrs[b as usize].1.total_cmp(&self.nbrs[a as usize].1));
+        order
+    }
+
     fn total_weight(&self) -> f64 {
         self.cumw.last().copied().unwrap_or(0.0)
     }
@@ -130,7 +137,7 @@ impl Adjacency {
 /// assert_eq!(g.record_neighbors(r).len(), 2);
 /// assert_eq!(g.n_macs(), 2);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BipartiteGraph {
     weight_fn: WeightFn,
     mac_index: HashMap<MacAddr, MacId>,
@@ -138,6 +145,51 @@ pub struct BipartiteGraph {
     record_adj: Vec<Adjacency>,
     mac_adj: Vec<Adjacency>,
     n_edges: usize,
+    /// Per MAC, its adjacency positions by descending edge weight, ties
+    /// by ascending position — the order a stable sort by weight gives.
+    /// Derived from `mac_adj`: never serialized, rebuilt on load.
+    mac_order: Vec<Vec<u32>>,
+}
+
+/// The graph serializes as its six stored fields, in declaration order;
+/// the derived `mac_order` index stays out of the image.
+impl Serialize for BipartiteGraph {
+    fn serialize(&self) -> serde::Value {
+        let field = |name: &str, value: serde::Value| (name.to_string(), value);
+        serde::Value::Object(vec![
+            field("weight_fn", self.weight_fn.serialize()),
+            field("mac_index", self.mac_index.serialize()),
+            field("macs", self.macs.serialize()),
+            field("record_adj", self.record_adj.serialize()),
+            field("mac_adj", self.mac_adj.serialize()),
+            field("n_edges", self.n_edges.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for BipartiteGraph {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let fields = value
+            .as_object()
+            .ok_or_else(|| serde::Error::type_mismatch("struct BipartiteGraph", value))?;
+        fn get<T: Deserialize>(
+            fields: &[(String, serde::Value)],
+            name: &str,
+        ) -> Result<T, serde::Error> {
+            T::deserialize(serde::get_field(fields, "BipartiteGraph", name)?)
+        }
+        let mac_adj: Vec<Adjacency> = get(fields, "mac_adj")?;
+        let mac_order = mac_adj.iter().map(Adjacency::weight_order).collect();
+        Ok(BipartiteGraph {
+            weight_fn: get(fields, "weight_fn")?,
+            mac_index: get(fields, "mac_index")?,
+            macs: get(fields, "macs")?,
+            record_adj: get(fields, "record_adj")?,
+            mac_adj,
+            n_edges: get(fields, "n_edges")?,
+            mac_order,
+        })
+    }
 }
 
 impl BipartiteGraph {
@@ -150,6 +202,7 @@ impl BipartiteGraph {
             record_adj: Vec::new(),
             mac_adj: Vec::new(),
             n_edges: 0,
+            mac_order: Vec::new(),
         }
     }
 
@@ -204,6 +257,7 @@ impl BipartiteGraph {
         self.mac_index.insert(mac, id);
         self.macs.push(mac);
         self.mac_adj.push(Adjacency::default());
+        self.mac_order.push(Vec::new());
         id
     }
 
@@ -216,7 +270,13 @@ impl BipartiteGraph {
             let mid = self.intern_mac(reading.mac);
             let w = self.weight_fn.weight(reading.rssi);
             adj.push(mid.0, w);
-            self.mac_adj[mid.0 as usize].push(rid.0, w);
+            let mac_adj = &mut self.mac_adj[mid.0 as usize];
+            mac_adj.push(rid.0, w);
+            // The new edge has the largest position, so it goes after
+            // every edge at least as heavy: where a stable sort puts it.
+            let order = &mut self.mac_order[mid.0 as usize];
+            let at = order.partition_point(|&q| mac_adj.nbrs[q as usize].1.total_cmp(&w).is_ge());
+            order.insert(at, mac_adj.nbrs.len() as u32 - 1);
             self.n_edges += 1;
         }
         self.record_adj.push(adj);
@@ -241,6 +301,20 @@ impl BipartiteGraph {
     /// Neighbors (record side) of a MAC node with edge weights.
     pub fn mac_neighbors(&self, m: MacId) -> impl ExactSizeIterator<Item = (RecordId, f32)> + '_ {
         self.mac_adj[m.0 as usize].nbrs.iter().map(|&(t, w)| (RecordId(t), w))
+    }
+
+    /// Adjacency positions of a MAC's record neighbors (indices into
+    /// [`BipartiteGraph::mac_neighbors`]) by descending edge weight, ties
+    /// by ascending position: the order a stable sort by weight gives,
+    /// kept up to date as records stream in.
+    pub fn mac_weight_order(&self, m: MacId) -> &[u32] {
+        &self.mac_order[m.0 as usize]
+    }
+
+    /// The record neighbor at adjacency position `pos` of a MAC.
+    pub fn mac_neighbor_at(&self, m: MacId, pos: u32) -> (RecordId, f32) {
+        let (r, w) = self.mac_adj[m.0 as usize].nbrs[pos as usize];
+        (RecordId(r), w)
     }
 
     /// Degree of a node.
@@ -488,6 +562,59 @@ mod tests {
         g.add_record(&rec(&[(42, -60.0), (43, -70.0)]));
         assert_eq!(g.mac_id(mac(42)).unwrap(), id1);
         assert_eq!(g.mac_addr(id1), mac(42));
+    }
+
+    /// The graph as `#[derive(Serialize)]` wrote it before the weight
+    /// order existed: the image must not change.
+    #[derive(Serialize)]
+    struct DerivedImage {
+        weight_fn: WeightFn,
+        mac_index: HashMap<MacAddr, MacId>,
+        macs: Vec<MacAddr>,
+        record_adj: Vec<Adjacency>,
+        mac_adj: Vec<Adjacency>,
+        n_edges: usize,
+    }
+
+    fn tied_graph() -> BipartiteGraph {
+        let mut g = BipartiteGraph::new(WeightFn::default());
+        for i in 0..12u64 {
+            g.add_record(&rec(&[(1, -50.0 - (i % 3) as f32), (2 + i % 2, -70.0)]));
+        }
+        g
+    }
+
+    #[test]
+    fn image_keeps_keys_order_and_round_trips() {
+        let g = tied_graph();
+        let image = g.serialize();
+        let derived = DerivedImage {
+            weight_fn: g.weight_fn,
+            mac_index: g.mac_index.clone(),
+            macs: g.macs.clone(),
+            record_adj: g.record_adj.clone(),
+            mac_adj: g.mac_adj.clone(),
+            n_edges: g.n_edges,
+        };
+        assert_eq!(image, derived.serialize());
+        let keys: Vec<&str> = image.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["weight_fn", "mac_index", "macs", "record_adj", "mac_adj", "n_edges"]);
+        let back = BipartiteGraph::deserialize(&image).unwrap();
+        assert_eq!(back.serialize(), image);
+        assert_eq!(back.mac_order, g.mac_order, "load rebuilds the streamed weight order");
+    }
+
+    #[test]
+    fn weight_order_is_a_stable_sort_by_weight() {
+        let mut g = tied_graph();
+        let m1 = g.mac_id(mac(1)).unwrap();
+        // Weights 70, 69, 68 repeating: heaviest first, ties by position.
+        let want: Vec<u32> =
+            (0..12).step_by(3).chain((1..12).step_by(3)).chain((2..12).step_by(3)).collect();
+        assert_eq!(g.mac_weight_order(m1), want);
+        g.add_record(&rec(&[(1, -49.0)]));
+        assert_eq!(g.mac_weight_order(m1)[0], 12);
+        assert_eq!(g.mac_neighbor_at(m1, 12), (RecordId(12), 71.0));
     }
 
     #[test]
