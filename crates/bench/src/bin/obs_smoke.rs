@@ -57,6 +57,7 @@ const REQUIRED_METRICS: &[&str] = &[
     "gem_shard_evictions_total",
     "gem_shard_hydrations_total",
     "gem_premises_hydrate_seconds",
+    "gem_premises_spill_seconds",
     "gem_fleet_snapshot_errors_total",
     "gem_trace_dropped_total",
 ];

@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Datasets are JSON (`gem_signal::Dataset`); models are GEM snapshots
-//! (`gem_core::persist::GemSnapshot`).
+//! (`gem_core::persist::GemSnapshot`): `gem train` writes JSON, a
+//! durable fleet writes binary images, and every `--model` reads either.
 
 use std::process::ExitCode;
 
@@ -394,10 +395,10 @@ fn load_monitors(
         }
         // One read, N hydrations: every premises starts from the same
         // snapshot but owns its model (online updates diverge).
-        let json = std::fs::read_to_string(&model).map_err(|e| format!("reading {model}: {e}"))?;
+        let bytes = std::fs::read(&model).map_err(|e| format!("reading {model}: {e}"))?;
         (1..=premises as u64)
             .map(|id| {
-                let gem = gem_core::GemSnapshot::from_json(&json)
+                let gem = gem_core::GemSnapshot::decode(&bytes)
                     .and_then(|s| s.restore())
                     .map_err(|e| format!("restoring {model}: {e}"))?;
                 Ok((id, Monitor::new(gem, mcfg)))
@@ -420,31 +421,44 @@ fn load_monitors(
 }
 
 fn info(args: &Args) -> Result<(), String> {
-    let path = args.require("model")?;
-    let snapshot = gem_core::GemSnapshot::load(&path).map_err(|e| e.to_string())?;
-    say!("model: {path}");
-    say!("embedding dim: {}", snapshot.cfg.embedding_dim);
-    say!(
-        "graph: {} records, {} MACs, {} edges",
-        snapshot.graph.n_records(),
-        snapshot.graph.n_macs(),
-        snapshot.graph.n_edges()
-    );
-    say!(
-        "detector samples: {} (+{} online updates)",
-        snapshot.detector.n_samples(),
-        snapshot.detector.n_updates
-    );
-    say!(
-        "training loss: {:?}",
-        snapshot
-            .train_report
-            .epoch_losses
-            .iter()
-            .map(|l| (l * 1000.0).round() / 1000.0)
-            .collect::<Vec<_>>()
-    );
+    for line in describe(&args.require("model")?)? {
+        say!("{line}");
+    }
     Ok(())
+}
+
+/// `gem info`'s report on a snapshot file in either encoding: a model
+/// written by `gem train` (JSON) or an image a fleet spilled (binary).
+fn describe(path: &str) -> Result<Vec<String>, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let snapshot = gem_core::GemSnapshot::decode(&bytes).map_err(|e| e.to_string())?;
+    let format =
+        if bytes.starts_with(&gem_core::persist::BINARY_MAGIC) { "binary" } else { "JSON" };
+    Ok(vec![
+        format!("model: {path}"),
+        format!("format: {format}, {} bytes", bytes.len()),
+        format!("embedding dim: {}", snapshot.cfg.embedding_dim),
+        format!(
+            "graph: {} records, {} MACs, {} edges",
+            snapshot.graph.n_records(),
+            snapshot.graph.n_macs(),
+            snapshot.graph.n_edges()
+        ),
+        format!(
+            "detector samples: {} (+{} online updates)",
+            snapshot.detector.n_samples(),
+            snapshot.detector.n_updates
+        ),
+        format!(
+            "training loss: {:?}",
+            snapshot
+                .train_report
+                .epoch_losses
+                .iter()
+                .map(|l| (l * 1000.0).round() / 1000.0)
+                .collect::<Vec<_>>()
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -524,6 +538,21 @@ mod tests {
         std::fs::create_dir_all(&empty).unwrap();
         let err = serve(&["--dir", &empty]).unwrap_err();
         assert!(err.contains("--model"), "{err}");
+
+        // `gem info` reads the trained JSON model and the binary images
+        // the fleet wrote alike, and says which it read.
+        let json_info = super::describe(&model).unwrap();
+        assert!(json_info[1].starts_with("format: JSON"), "{json_info:?}");
+        let image = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .find(|p| p.extension().is_some_and(|x| x == "gemsnap"))
+            .expect("the fleet wrote a binary image");
+        let image_info = super::describe(&image.display().to_string()).unwrap();
+        let size = std::fs::metadata(&image).unwrap().len();
+        assert_eq!(image_info[1], format!("format: binary, {size} bytes"));
+        assert_eq!(image_info[2..4], json_info[2..4], "same model, either format");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

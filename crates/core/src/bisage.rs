@@ -30,6 +30,9 @@ use gem_nn::tape::{Activation, GradStore, Graph, ParamId, ParamStore, Var};
 use gem_nn::{init, Adam, Optimizer, Tensor, TensorArena};
 use gem_signal::rng::child_rng;
 
+use crate::codec::{put_bool, put_bools, put_count, put_usize, Cur};
+use crate::persist::{put_json, put_tensor, take_json, take_tensor, PersistError};
+
 /// Neighborhood aggregator choice (paper: "e.g. MEAN(·) or MAX(·)"; GEM
 /// uses the edge-weighted mean).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, serde::Deserialize)]
@@ -258,6 +261,83 @@ impl BiSage {
     /// any thread count — can be checked from outside the crate.
     pub fn aggregation_weights(&self) -> (&[Tensor], &[Tensor]) {
         (&self.w_h, &self.w_l)
+    }
+
+    /// Appends the model's part of a binary snapshot image (layout in
+    /// [`crate::persist`]).
+    pub(crate) fn encode_binary(&self, out: &mut Vec<u8>) {
+        put_json(out, &self.cfg);
+        for ws in [&self.w_h, &self.w_l] {
+            put_count(out, ws.len());
+            for w in ws {
+                put_tensor(out, w);
+            }
+        }
+        put_tensor(out, &self.base_h);
+        put_tensor(out, &self.base_l);
+        for flags in [&self.initialized, &self.provisional] {
+            put_count(out, flags.len());
+            put_bools(out, flags);
+        }
+        put_usize(out, self.macs_at_fit);
+        put_bool(out, self.trained);
+    }
+
+    /// Reads an [`BiSage::encode_binary`] image.
+    pub(crate) fn decode_binary(c: &mut Cur) -> Result<BiSage, PersistError> {
+        let cfg = take_json(c, "BiSAGE config")?;
+        let mut ws = [Vec::new(), Vec::new()];
+        for w in &mut ws {
+            let n = c.count(8, "aggregation matrices")?;
+            for _ in 0..n {
+                w.push(take_tensor(c, "aggregation matrix")?);
+            }
+        }
+        let [w_h, w_l] = ws;
+        let base_h = take_tensor(c, "base table")?;
+        let base_l = take_tensor(c, "base table")?;
+        let n = c.count(1, "row flags")?;
+        let initialized = c.bools(n, "row flags")?;
+        let n = c.count(1, "row flags")?;
+        let provisional = c.bools(n, "row flags")?;
+        Ok(BiSage {
+            cfg,
+            w_h,
+            w_l,
+            base_h,
+            base_l,
+            initialized,
+            provisional,
+            macs_at_fit: c.usize("MACs at fit")?,
+            trained: c.bool("trained flag")?,
+        })
+    }
+
+    /// The shape invariants every method relies on: one sample size and
+    /// one `(2d × d)` matrix pair per round, twin `(rows × d)` base
+    /// tables and one initialized/provisional flag per table row. A
+    /// loaded model is checked before it runs.
+    pub(crate) fn check_shapes(&self) -> Result<(), String> {
+        let (d, k) = (self.cfg.dim, self.cfg.rounds);
+        if d == 0 || k == 0 || self.cfg.sample_sizes.len() != k {
+            return Err(format!(
+                "BiSAGE config has dim {d}, {k} rounds and {} sample sizes",
+                self.cfg.sample_sizes.len()
+            ));
+        }
+        let square = |ws: &[Tensor]| ws.len() == k && ws.iter().all(|w| w.shape() == (2 * d, d));
+        if !square(&self.w_h) || !square(&self.w_l) {
+            return Err(format!("BiSAGE aggregation matrices are not {k} × ({} × {d})", 2 * d));
+        }
+        let rows = self.base_h.rows();
+        if self.base_h.shape() != (rows, d)
+            || self.base_l.shape() != (rows, d)
+            || self.initialized.len() != rows
+            || self.provisional.len() != rows
+        {
+            return Err("BiSAGE base tables and row flags disagree on their shape".into());
+        }
+        Ok(())
     }
 
     fn grow_tables(&mut self, rows_needed: usize) {

@@ -6,7 +6,9 @@ use serde::{Deserialize, Serialize};
 
 use gem_nn::Tensor;
 
+use crate::codec::{put_count, put_f32s, Cur};
 use crate::hbos::HistogramModel;
+use crate::persist::{put_json, take_json, PersistError};
 
 /// Outcome of scoring one sample.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize)]
@@ -150,7 +152,69 @@ impl Deserialize for EnhancedDetector {
     }
 }
 
+/// The detector's scalar fields: the JSON section of its binary image.
+#[derive(Serialize, Deserialize)]
+struct DetectorScalars {
+    score_min: f64,
+    score_max: f64,
+    temperature: f64,
+    tau_u: f64,
+    tau_l: f64,
+    n_updates: usize,
+}
+
 impl EnhancedDetector {
+    /// Appends the detector's part of a binary snapshot image: the
+    /// histograms, the reference rows as raw `f32` runs and the scalars
+    /// as a JSON section (layout in [`crate::persist`]).
+    pub(crate) fn encode_binary(&self, out: &mut Vec<u8>) {
+        self.hist.encode_binary(out);
+        put_count(out, self.reference.len());
+        for row in &self.reference {
+            put_f32s(out, row);
+        }
+        put_json(
+            out,
+            &DetectorScalars {
+                score_min: self.score_min,
+                score_max: self.score_max,
+                temperature: self.temperature,
+                tau_u: self.tau_u,
+                tau_l: self.tau_l,
+                n_updates: self.n_updates,
+            },
+        );
+    }
+
+    /// Reads an [`EnhancedDetector::encode_binary`] image.
+    pub(crate) fn decode_binary(c: &mut Cur) -> Result<Self, PersistError> {
+        let hist = HistogramModel::decode_binary(c)?;
+        let dim = hist.dim();
+        if dim == 0 || !hist.is_well_formed() {
+            return Err(PersistError::Format(
+                "binary snapshot: detector histograms are malformed".into(),
+            ));
+        }
+        let rows = c.count(4 * dim, "detector reference")?;
+        let mut reference = Vec::new();
+        for _ in 0..rows {
+            reference.push(c.f32s(dim, "detector reference")?);
+        }
+        let s: DetectorScalars = take_json(c, "detector scalars")?;
+        let terms = ScoreTerms::new(&hist, &reference);
+        Ok(EnhancedDetector {
+            hist,
+            reference,
+            score_min: s.score_min,
+            score_max: s.score_max,
+            temperature: s.temperature,
+            tau_u: s.tau_u,
+            tau_l: s.tau_l,
+            n_updates: s.n_updates,
+            terms,
+        })
+    }
+
     /// Fits histograms on the training embeddings and freezes the score
     /// normalization.
     pub fn fit(train: &Tensor, bins: usize, temperature: f64, tau_u: f64, tau_l: f64) -> Self {
@@ -285,6 +349,11 @@ impl EnhancedDetector {
         } else {
             false
         }
+    }
+
+    /// Dimensionality of the scored embeddings.
+    pub(crate) fn dim(&self) -> usize {
+        self.hist.dim()
     }
 
     /// Total samples inside the histograms (initial + absorbed).

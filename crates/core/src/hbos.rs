@@ -10,6 +10,8 @@ use serde::{Deserialize, Serialize};
 
 use gem_nn::Tensor;
 
+use crate::codec::{put_f32s, put_f64s, put_usize, Cur, Malformed};
+
 /// Per-dimension histograms over a fixed value range with incremental
 /// updates.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -74,6 +76,30 @@ impl HistogramModel {
             && self.mins.len() == self.dim
             && self.maxs.len() == self.dim
             && self.counts.len() == self.dim * self.bins
+    }
+
+    /// Appends the binary image: `dim`, `bins`, the ranges and counts
+    /// as raw runs, then the sample count.
+    pub(crate) fn encode_binary(&self, out: &mut Vec<u8>) {
+        put_usize(out, self.dim);
+        put_usize(out, self.bins);
+        put_f32s(out, &self.mins);
+        put_f32s(out, &self.maxs);
+        put_f64s(out, &self.counts);
+        put_usize(out, self.n);
+    }
+
+    /// Reads an [`HistogramModel::encode_binary`] image (well-formed by
+    /// construction when `bins >= 1`).
+    pub(crate) fn decode_binary(c: &mut Cur) -> Result<Self, Malformed> {
+        let dim = c.usize("histogram dim")?;
+        let bins = c.usize("histogram bins")?;
+        let mins = c.f32s(dim, "histogram ranges")?;
+        let maxs = c.f32s(dim, "histogram ranges")?;
+        let cells = dim.checked_mul(bins).ok_or(Malformed("histogram counts"))?;
+        let counts = c.f64s(cells, "histogram counts")?;
+        let n = c.usize("histogram samples")?;
+        Ok(HistogramModel { dim, bins, mins, maxs, counts, n })
     }
 
     /// Bin index for in-range values, clamping into the edge bins.

@@ -19,6 +19,7 @@
 //! (other embedders × other detectors) compose the same way.
 
 pub mod bisage;
+pub mod codec;
 pub mod config;
 pub mod detector;
 pub mod gem;

@@ -60,6 +60,12 @@ impl PcaRotation {
         PcaRotation { mean, basis, variances: eigen.values }
     }
 
+    /// Whether this rotates `d`-dimensional vectors: a `d`-long mean and
+    /// a `(d × d)` basis (a deserialized rotation may not be).
+    pub(crate) fn rotates(&self, d: usize) -> bool {
+        self.mean.len() == d && self.basis.shape() == (d, d)
+    }
+
     /// Rotates one vector into principal-axis coordinates.
     pub fn apply(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.mean.len(), "dimension mismatch");

@@ -81,7 +81,7 @@ impl WeightFn {
 /// weighted sampling. Edges are append-only, so the prefix sum extends in
 /// O(1) per new edge.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct Adjacency {
+pub struct Adjacency {
     /// `(neighbor index, edge weight)` pairs in insertion order.
     nbrs: Vec<(u32, f32)>,
     /// `cumw[i]` = sum of weights of `nbrs[..=i]`.
@@ -89,6 +89,23 @@ struct Adjacency {
 }
 
 impl Adjacency {
+    /// Wraps stored neighbor pairs and their running weight sums, as a
+    /// snapshot decoder reads them. [`BipartiteGraph::from_parts`]
+    /// checks that the two agree in length.
+    pub fn from_raw(nbrs: Vec<(u32, f32)>, cumw: Vec<f64>) -> Adjacency {
+        Adjacency { nbrs, cumw }
+    }
+
+    /// `(neighbor index, edge weight)` pairs in insertion order.
+    pub fn nbrs(&self) -> &[(u32, f32)] {
+        &self.nbrs
+    }
+
+    /// Running weight sums: `cumw()[i]` covers `nbrs()[..=i]`.
+    pub fn cumw(&self) -> &[f64] {
+        &self.cumw
+    }
+
     fn push(&mut self, target: u32, weight: f32) {
         let prev = self.cumw.last().copied().unwrap_or(0.0);
         self.nbrs.push((target, weight));
@@ -178,17 +195,15 @@ impl Deserialize for BipartiteGraph {
         ) -> Result<T, serde::Error> {
             T::deserialize(serde::get_field(fields, "BipartiteGraph", name)?)
         }
-        let mac_adj: Vec<Adjacency> = get(fields, "mac_adj")?;
-        let mac_order = mac_adj.iter().map(Adjacency::weight_order).collect();
-        Ok(BipartiteGraph {
-            weight_fn: get(fields, "weight_fn")?,
-            mac_index: get(fields, "mac_index")?,
-            macs: get(fields, "macs")?,
-            record_adj: get(fields, "record_adj")?,
-            mac_adj,
-            n_edges: get(fields, "n_edges")?,
-            mac_order,
-        })
+        BipartiteGraph::from_parts(
+            get(fields, "weight_fn")?,
+            get(fields, "mac_index")?,
+            get(fields, "macs")?,
+            get(fields, "record_adj")?,
+            get(fields, "mac_adj")?,
+            get(fields, "n_edges")?,
+        )
+        .map_err(serde::Error::custom)
     }
 }
 
@@ -204,6 +219,76 @@ impl BipartiteGraph {
             n_edges: 0,
             mac_order: Vec::new(),
         }
+    }
+
+    /// Reassembles a graph from its six stored fields (the serialized
+    /// image, in order) and rebuilds the derived weight order. Every
+    /// cross-reference is checked, so a graph that loads is one the
+    /// inference path can walk without indexing out of bounds: the MAC
+    /// index is exactly the inverse of `macs`, each adjacency's running
+    /// sums match its pairs, neighbor indices stay inside the other side
+    /// and both sides count `n_edges` edges.
+    pub fn from_parts(
+        weight_fn: WeightFn,
+        mac_index: HashMap<MacAddr, MacId>,
+        macs: Vec<MacAddr>,
+        record_adj: Vec<Adjacency>,
+        mac_adj: Vec<Adjacency>,
+        n_edges: usize,
+    ) -> Result<Self, String> {
+        if macs.len() != mac_adj.len() || mac_index.len() != macs.len() {
+            return Err(format!(
+                "graph has {} MAC addresses, {} index entries and {} MAC adjacency lists",
+                macs.len(),
+                mac_index.len(),
+                mac_adj.len()
+            ));
+        }
+        if mac_index.iter().any(|(&mac, &id)| macs.get(id.0 as usize) != Some(&mac)) {
+            return Err("graph MAC index disagrees with its MAC table".into());
+        }
+        let check_side = |adj: &[Adjacency], other: usize, side: &str| -> Result<usize, String> {
+            let mut edges = 0usize;
+            for a in adj {
+                if a.cumw.len() != a.nbrs.len() {
+                    return Err(format!("a {side} adjacency has unequal pairs and sums"));
+                }
+                if a.nbrs.iter().any(|&(t, _)| t as usize >= other) {
+                    return Err(format!("a {side} adjacency names a missing neighbor"));
+                }
+                edges += a.nbrs.len();
+            }
+            Ok(edges)
+        };
+        let record_edges = check_side(&record_adj, mac_adj.len(), "record")?;
+        let mac_edges = check_side(&mac_adj, record_adj.len(), "MAC")?;
+        if record_edges != n_edges || mac_edges != n_edges {
+            return Err(format!(
+                "graph stores {n_edges} edges but its sides hold {record_edges} and {mac_edges}"
+            ));
+        }
+        let mac_order = mac_adj.iter().map(Adjacency::weight_order).collect();
+        Ok(BipartiteGraph { weight_fn, mac_index, macs, record_adj, mac_adj, n_edges, mac_order })
+    }
+
+    /// The MAC index: address → node id (the inverse of [`Self::macs`]).
+    pub fn mac_index(&self) -> &HashMap<MacAddr, MacId> {
+        &self.mac_index
+    }
+
+    /// Every MAC address, by node id.
+    pub fn macs(&self) -> &[MacAddr] {
+        &self.macs
+    }
+
+    /// Per record node, its adjacency to MAC nodes.
+    pub fn record_adjacency(&self) -> &[Adjacency] {
+        &self.record_adj
+    }
+
+    /// Per MAC node, its adjacency to record nodes.
+    pub fn mac_adjacency(&self) -> &[Adjacency] {
+        &self.mac_adj
     }
 
     /// Builds a graph from an initial training batch.
@@ -602,6 +687,35 @@ mod tests {
         let back = BipartiteGraph::deserialize(&image).unwrap();
         assert_eq!(back.serialize(), image);
         assert_eq!(back.mac_order, g.mac_order, "load rebuilds the streamed weight order");
+    }
+
+    #[test]
+    fn from_parts_refuses_inconsistent_parts() {
+        let g = tied_graph();
+        let parts = || {
+            (
+                g.weight_fn,
+                g.mac_index.clone(),
+                g.macs.clone(),
+                g.record_adj.clone(),
+                g.mac_adj.clone(),
+                g.n_edges,
+            )
+        };
+        let (w, index, macs, rec, mac_adj, n) = parts();
+        let back = BipartiteGraph::from_parts(w, index, macs, rec, mac_adj, n).unwrap();
+        assert_eq!(back.serialize(), g.serialize());
+        let (w, index, macs, rec, mac_adj, n) = parts();
+        assert!(BipartiteGraph::from_parts(w, index, macs, rec, mac_adj, n + 1).is_err());
+        let (w, mut index, macs, rec, mac_adj, n) = parts();
+        index.insert(mac(1), MacId(2));
+        assert!(BipartiteGraph::from_parts(w, index, macs, rec, mac_adj, n).is_err());
+        let (w, index, macs, mut rec, mac_adj, n) = parts();
+        rec[0].nbrs[0].0 = 99;
+        assert!(BipartiteGraph::from_parts(w, index, macs, rec, mac_adj, n).is_err());
+        let (w, index, macs, rec, mut mac_adj, n) = parts();
+        mac_adj[0].cumw.pop();
+        assert!(BipartiteGraph::from_parts(w, index, macs, rec, mac_adj, n).is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod sampling;
 pub mod stats;
 pub mod walk;
 
-pub use bigraph::{BipartiteGraph, MacId, NodeId, RecordId, WeightFn};
+pub use bigraph::{Adjacency, BipartiteGraph, MacId, NodeId, RecordId, WeightFn};
 pub use negative::NegativeTable;
 pub use sampling::AliasTable;
 pub use stats::{graph_stats, GraphStats};

@@ -1080,15 +1080,20 @@ fn snapshot_all(txs: &[Sender<ShardMsg>], dir: &PathBuf) -> Result<(), FleetErro
     Ok(())
 }
 
-/// Parses `premises-{id}-{epoch}.json` into `(id, epoch)`.
+/// Parses `premises-{id}-{epoch}.gemsnap` into `(id, epoch)`; the
+/// `.json` images of directories written before the binary format
+/// parse too, so their superseded files are swept the same way.
 fn parse_snapshot_name(name: &str) -> Option<(u64, u64)> {
-    let stem = name.strip_prefix("premises-")?.strip_suffix(".json")?;
+    let (stem, ext) = name.strip_prefix("premises-")?.rsplit_once('.')?;
+    if ext != crate::shard::IMAGE_EXT && ext != "json" {
+        return None;
+    }
     let (id, epoch) = stem.rsplit_once('-')?;
     Some((id.parse().ok()?, epoch.parse().ok()?))
 }
 
 /// Deletes snapshot files the committed manifest has superseded — each
-/// spill/snapshot writes fresh `premises-{id}-{epoch}.json` files, and
+/// spill/snapshot writes fresh `premises-{id}-{epoch}.gemsnap` files, and
 /// without this sweep a long-running fleet grows its durability
 /// directory without bound. A file is removed only when the manifest
 /// holds a *newer* image of the same premises (parsed epoch below the
@@ -1454,7 +1459,7 @@ mod tests {
                     .unwrap()
                     .flatten()
                     .filter_map(|e| e.file_name().into_string().ok())
-                    .filter(|n| n.starts_with("premises-") && n.ends_with(".json"))
+                    .filter(|n| n.starts_with("premises-") && n.ends_with(".gemsnap"))
                     .collect();
                 assert_eq!(snapshots.len(), 2, "stale snapshots must be GC'd: {snapshots:?}");
             }
@@ -1487,6 +1492,76 @@ mod tests {
             assert_eq!(decisions_of(&tail, *id), expected[12..16].to_vec());
         }
         fleet.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovers_a_directory_of_json_images_and_moves_it_to_binary() {
+        let dir = std::env::temp_dir().join("gem_fleet_json_images_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (monitors, streams) = fleet_monitors(2);
+        // The directory as a fleet writing JSON images left it: one
+        // `.json` image per premises and a manifest naming them.
+        let mut entries = Vec::new();
+        let mut replay = Vec::new();
+        for (p, m) in &monitors {
+            let json = GemSnapshot::capture(m.gem()).to_json().unwrap();
+            let file = format!("premises-{p}-0.json");
+            std::fs::write(dir.join(&file), &json).unwrap();
+            entries.push(PremisesEntry {
+                premises_id: *p,
+                snapshot_file: file,
+                snapshot_checksum: gem_core::fnv1a64_hex(json.as_bytes()),
+                epochs: 0,
+                sidecar: serde::Serialize::serialize(&m.state()),
+            });
+            replay.push(GemSnapshot::from_json(&json).unwrap().restore().unwrap());
+        }
+        FleetManifest::new(entries).save(&dir).unwrap();
+        // One resident premises per shard: every record hydrates, the
+        // first time from the JSON image, then from spilled binary ones.
+        let cfg = FleetConfig {
+            shards: 1,
+            max_batch: 1,
+            dir: Some(dir.clone()),
+            snapshot_interval: None,
+            hot_premises_per_shard: Some(1),
+            ..FleetConfig::default()
+        };
+        let recovery = Fleet::recover(cfg).unwrap();
+        assert_eq!(recovery.replayed_epochs, 0);
+        let fleet = recovery.fleet;
+        fleet.pause();
+        for k in 0..6 {
+            for ((p, _), stream) in monitors.iter().zip(&streams) {
+                assert!(fleet.submit(*p, stream[k].clone()).accepted());
+            }
+        }
+        fleet.flush().unwrap();
+        let events = drain_events(&fleet);
+        fleet.resume();
+        fleet.snapshot().unwrap();
+        let mut images: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|n| n.starts_with("premises-"))
+            .collect();
+        images.sort();
+        assert_eq!(images.len(), 2, "the round must sweep the JSON images: {images:?}");
+        assert!(images.iter().all(|n| n.ends_with(".gemsnap")), "{images:?}");
+        fleet.shutdown().unwrap();
+        for (((p, _), stream), gem) in monitors.iter().zip(&streams).zip(&mut replay) {
+            let expected: Vec<_> = stream[..6]
+                .iter()
+                .map(|r| {
+                    let d = gem.infer(r);
+                    (r.timestamp_s, d.label, d.score)
+                })
+                .collect();
+            assert_eq!(decisions_of(&events, *p), expected, "premises {p}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

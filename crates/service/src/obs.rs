@@ -244,6 +244,8 @@ pub(crate) struct ShardObs {
     pub(crate) hydrations: Arc<Counter>,
     /// Wall time of one hydration, snapshot read through replay.
     pub(crate) hydrate_seconds: Arc<Histogram>,
+    /// Wall time of one eviction, image encode and write included.
+    pub(crate) spill_seconds: Arc<Histogram>,
     /// Nanoseconds the worker spent deciding/journaling (drain passes).
     pub(crate) busy_ns: Arc<Counter>,
     /// Nanoseconds the worker spent parked waiting for ingress.
@@ -276,6 +278,7 @@ impl ShardObs {
             evictions: registry.counter("gem_shard_evictions_total", labels),
             hydrations: registry.counter("gem_shard_hydrations_total", labels),
             hydrate_seconds: registry.histogram("gem_premises_hydrate_seconds", labels),
+            spill_seconds: registry.histogram("gem_premises_spill_seconds", labels),
             busy_ns: registry.counter("gem_shard_busy_ns_total", labels),
             idle_ns: registry.counter("gem_shard_idle_ns_total", labels),
             journal: JournalObs::register(registry, shard, opts.enabled),

@@ -12,7 +12,8 @@
 //!
 //! A shard may own far more premises than it keeps resident. Each
 //! session is either *hot* (its [`Monitor`] is in memory) or *cold*
-//! (its model lives in a snapshot file; only the ~100-byte
+//! (its model lives in a binary snapshot image, see
+//! [`gem_core::persist`]; only the ~100-byte
 //! [`MonitorState`] sidecar and bookkeeping stay resident). A cold
 //! premises is hydrated bitwise on its next record — snapshot load,
 //! checksum verify, and watermark-filtered journal replay — inside the
@@ -237,7 +238,13 @@ pub(crate) struct ShardWorker {
     /// million-tenant shard never stalls its decision path on one
     /// control message.
     snapshot_job: Option<SnapshotJob>,
+    /// Encode buffer for spill and snapshot images, reused across calls.
+    image_buf: Vec<u8>,
 }
+
+/// Extension of the per-premises binary snapshot images this worker
+/// writes (`premises-{id}-{epoch}.gemsnap`).
+pub(crate) const IMAGE_EXT: &str = "gemsnap";
 
 /// Premises visited per snapshot slice. Bounds how long the decision
 /// path can wait behind snapshot bookkeeping in any one loop iteration.
@@ -339,6 +346,7 @@ impl ShardWorker {
             obs,
             monitor_obs,
             snapshot_job: None,
+            image_buf: Vec::new(),
         };
         worker.obs.hot_premises.set(hot_count as i64);
         worker.obs.cold_premises.set((worker.sessions.len() - hot_count) as i64);
@@ -825,10 +833,7 @@ impl ShardWorker {
             self.id,
             stored.file
         );
-        let json = String::from_utf8(bytes).unwrap_or_else(|e| {
-            panic!("shard {}: snapshot {} is not UTF-8: {e}", self.id, stored.file)
-        });
-        let gem = GemSnapshot::from_json(&json)
+        let gem = GemSnapshot::decode(&bytes)
             .and_then(|s| s.restore())
             .unwrap_or_else(|e| panic!("shard {}: restoring {} failed: {e}", self.id, stored.file));
         let mut monitor = Monitor::from_state(gem, stored.state);
@@ -913,6 +918,7 @@ impl ShardWorker {
             Some(d) => d.clone(),
             None => return false,
         };
+        let start = self.obs.enabled.then(Instant::now);
         let (epoch, clean) = {
             let session = self.sessions.get(&premises_id).expect("known premises");
             if !session.pending.is_empty() || !matches!(session.residency, Residency::Hot(_)) {
@@ -924,19 +930,10 @@ impl ShardWorker {
         if !clean {
             let session = &self.sessions[&premises_id];
             let Residency::Hot(monitor) = &session.residency else { unreachable!() };
-            let file = format!("premises-{premises_id}-{epoch}.json");
-            let json = match GemSnapshot::capture(monitor.gem()).to_json() {
-                Ok(j) => j,
-                Err(e) => {
-                    self.obs.trace(
-                        TraceEvent::new("spill_error")
-                            .with("premises", premises_id)
-                            .with("error", e.to_string()),
-                    );
-                    return false;
-                }
-            };
-            if let Err(e) = std::fs::write(dir.join(&file), json.as_bytes()) {
+            let file = format!("premises-{premises_id}-{epoch}.{IMAGE_EXT}");
+            self.image_buf.clear();
+            let checksum = GemSnapshot::capture(monitor.gem()).encode_binary(&mut self.image_buf);
+            if let Err(e) = std::fs::write(dir.join(&file), &self.image_buf) {
                 self.obs.trace(
                     TraceEvent::new("spill_error")
                         .with("premises", premises_id)
@@ -945,7 +942,7 @@ impl ShardWorker {
                 return false;
             }
             new_stored = Some(Stored {
-                checksum: fnv1a64_hex(json.as_bytes()),
+                checksum: format!("{checksum:016x}"),
                 file,
                 epochs: epoch,
                 state: monitor.state(),
@@ -970,12 +967,19 @@ impl ShardWorker {
         self.obs.evictions.inc();
         self.obs.hot_premises.set(self.hot_ids.len() as i64);
         self.obs.cold_premises.set((self.sessions.len() - self.hot_ids.len()) as i64);
-        self.obs.trace(
-            TraceEvent::new("evict")
-                .with("premises", premises_id)
-                .with("epoch", epoch)
-                .with("wrote", !clean),
-        );
+        if let Some(t0) = start {
+            let ns = elapsed_ns(t0);
+            self.obs.spill_seconds.record(ns);
+            let bytes = if clean { 0 } else { self.image_buf.len() };
+            self.obs.trace(
+                TraceEvent::new("evict")
+                    .with("premises", premises_id)
+                    .with("epoch", epoch)
+                    .with("wrote", !clean)
+                    .with("bytes", bytes)
+                    .with("duration_ns", ns),
+            );
+        }
         true
     }
 
@@ -1058,19 +1062,20 @@ impl ShardWorker {
         if let Residency::Hot(monitor) = &session.residency {
             let dirty = session.stored.as_ref().is_none_or(|s| s.epochs < session.epoch);
             if dirty {
-                let file = format!("premises-{premises_id}-{}.json", session.epoch);
-                let json =
-                    GemSnapshot::capture(monitor.gem()).to_json().map_err(|e| e.to_string())?;
+                let file = format!("premises-{premises_id}-{}.{IMAGE_EXT}", session.epoch);
+                let image = &mut self.image_buf;
+                image.clear();
+                let checksum = GemSnapshot::capture(monitor.gem()).encode_binary(image);
                 // Sync before the manifest commit references it: a
                 // power loss after the rename must find these bytes.
                 let write_synced = || -> std::io::Result<()> {
                     let mut f = std::fs::File::create(dir.join(&file))?;
-                    f.write_all(json.as_bytes())?;
+                    f.write_all(image)?;
                     f.sync_data()
                 };
                 write_synced().map_err(|e| e.to_string())?;
                 let stored = Stored {
-                    checksum: fnv1a64_hex(json.as_bytes()),
+                    checksum: format!("{checksum:016x}"),
                     file,
                     epochs: session.epoch,
                     state: monitor.state(),

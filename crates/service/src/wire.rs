@@ -44,6 +44,7 @@
 
 use std::io::{Read, Write};
 
+use gem_core::codec::{Cur, Malformed};
 use gem_core::fnv1a64;
 use gem_signal::{MacAddr, Reading, SignalRecord};
 
@@ -346,59 +347,16 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame, buf: &mut Vec<u8>) -> std:
     Ok(n)
 }
 
-/// A strict little-endian payload cursor.
-struct Cur<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        let end = self.i.checked_add(n).ok_or(WireError::BadPayload(what))?;
-        if end > self.b.len() {
-            return Err(WireError::BadPayload(what));
-        }
-        let s = &self.b[self.i..end];
-        self.i = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self, what: &'static str) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.i == self.b.len() {
-            Ok(())
-        } else {
-            Err(WireError::BadPayload("trailing bytes"))
-        }
+/// The shared cursor's structural errors are malformed payloads.
+impl From<Malformed> for WireError {
+    fn from(e: Malformed) -> Self {
+        WireError::BadPayload(e.0)
     }
 }
 
 /// Decodes one payload (checksum already verified) into a [`Frame`].
 pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
-    let mut c = Cur { b: payload, i: 0 };
+    let mut c = Cur::new(payload);
     let kind = c.u8("kind byte")?;
     let frame = match kind {
         KIND_HELLO => {
@@ -412,7 +370,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
             // 12 bytes, and after them the payload either ends (an
             // untraced frame — the pre-tracing layout) or carries
             // exactly one 16-byte trace context. Anything else rejects.
-            let rest = payload.len() - c.i;
+            let rest = c.remaining();
             let has_trace = match rest.checked_sub(n * 12) {
                 Some(0) => false,
                 Some(16) => true,
