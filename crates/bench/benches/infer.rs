@@ -1,7 +1,7 @@
 //! Streaming-inference benchmarks: the tape-free engine against the
-//! tape-based reference on the single-record path, plus the fused batch
-//! path, with MAC-aggregate cache hit rates and a steady-state
-//! allocation audit.
+//! tape-based reference on the single-record path, plus the fit-time
+//! `BiSage::embed_all_records` over the whole graph, with MAC-aggregate
+//! cache hit rates and a steady-state allocation audit.
 //!
 //! Run with `cargo bench -p gem-bench --bench infer`. Each run appends
 //! one JSON line to `BENCH_infer.json` at the repository root.
@@ -201,20 +201,10 @@ fn bench_paths(c: &mut Criterion, fx: &Fixture) {
         });
     }
 
-    // Fused batch path over the whole streamed set.
-    {
-        let mut engine = InferenceEngine::new();
-        group.bench_function("engine_batch", |b| {
-            b.iter(|| {
-                black_box(engine.embed_records_batch(
-                    black_box(&fx.model),
-                    black_box(&fx.graph),
-                    &fx.targets,
-                    Some(&fx.trusted),
-                ))
-            })
-        });
-    }
+    // Fit time: every record of the graph, a fresh engine per call.
+    group.bench_function("fit_embed_all", |b| {
+        b.iter(|| black_box(fx.model.embed_all_records(black_box(&fx.graph))))
+    });
     group.finish();
 }
 
@@ -329,8 +319,10 @@ struct InferBenchLine {
     engine_single_median_ns: f64,
     single_speedup: f64,
     engine_single_records_per_sec: f64,
-    batch_median_ns: f64,
-    batch_records_per_sec: f64,
+    /// Median `BiSage::embed_all_records` over the whole fixture graph
+    /// (training plus streamed records).
+    fit_embed_median_ns: f64,
+    fit_embed_records_per_sec: f64,
     /// Steady-state MAC-aggregate cache hit rate on the warm engine.
     cache_hit_rate: f64,
     /// Heap allocations per warm single-record inference; `null` unless
@@ -347,7 +339,13 @@ struct InferBenchLine {
     hub_engine_single_median_ns: f64,
 }
 
-fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>, hub: &Fixture) {
+fn append_results(
+    c: &Criterion,
+    hit_rate: f64,
+    alloc_total: Option<u64>,
+    fx: &Fixture,
+    hub: &Fixture,
+) {
     let find = |name: &str| {
         c.reports()
             .iter()
@@ -356,7 +354,7 @@ fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>, hub: &
     };
     let tape = find("tape_single");
     let engine = find("engine_single");
-    let batch = find("engine_batch");
+    let fit_embed = find("fit_embed_all");
     let score_f64 = find("score_f64");
     let engine_hub = find("engine_hub");
     let (hub_min_mac_degree, hub_untrusted_frac) = hub_shape(hub);
@@ -374,8 +372,8 @@ fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>, hub: &
         engine_single_median_ns: engine.median_ns,
         single_speedup: speedup,
         engine_single_records_per_sec: 1e9 / engine.median_ns,
-        batch_median_ns: batch.median_ns,
-        batch_records_per_sec: N_STREAMED as f64 / (batch.median_ns * 1e-9),
+        fit_embed_median_ns: fit_embed.median_ns,
+        fit_embed_records_per_sec: fx.graph.n_records() as f64 / (fit_embed.median_ns * 1e-9),
         cache_hit_rate: hit_rate,
         allocs_per_inference: alloc_total,
         kernel_backend: gem_nn::kernels::backend_name(),
@@ -421,5 +419,5 @@ fn main() {
     let (hit_rate, alloc_total) = audit_steady_state(&fx);
     let hub_allocs = audit_hub(&hub);
     c.final_summary();
-    append_results(&c, hit_rate, alloc_total.map(|n| n + hub_allocs.unwrap_or(0)), &hub);
+    append_results(&c, hit_rate, alloc_total.map(|n| n + hub_allocs.unwrap_or(0)), &fx, &hub);
 }

@@ -393,14 +393,16 @@ fn load_monitors(
         if premises == 0 {
             return Err("--premises must be at least 1".into());
         }
-        // One read, N hydrations: every premises starts from the same
-        // snapshot but owns its model (online updates diverge).
+        // One read and one decode, N restores: every premises starts
+        // from the same snapshot but owns a private copy of the model
+        // (online updates diverge).
         let bytes = std::fs::read(&model).map_err(|e| format!("reading {model}: {e}"))?;
+        let snapshot =
+            gem_core::GemSnapshot::decode(&bytes).map_err(|e| format!("restoring {model}: {e}"))?;
         (1..=premises as u64)
             .map(|id| {
-                let gem = gem_core::GemSnapshot::decode(&bytes)
-                    .and_then(|s| s.restore())
-                    .map_err(|e| format!("restoring {model}: {e}"))?;
+                let gem =
+                    snapshot.clone().restore().map_err(|e| format!("restoring {model}: {e}"))?;
                 Ok((id, Monitor::new(gem, mcfg)))
             })
             .collect()
@@ -553,6 +555,52 @@ mod tests {
         let size = std::fs::metadata(&image).unwrap().len();
         assert_eq!(image_info[1], format!("format: binary, {size} bytes"));
         assert_eq!(image_info[2..4], json_info[2..4], "same model, either format");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `--premises N` decodes the model once but gives every premises a
+    /// private copy: one premises' confident updates must not reach
+    /// another's decisions, which stay those of a fresh load.
+    #[test]
+    fn fanned_out_premises_do_not_share_model_state() {
+        use gem_service::{Monitor, MonitorConfig};
+        let root = std::env::temp_dir().join(format!("gem_cli_fan_out_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let path = |name: &str| root.join(name).display().to_string();
+        let (ds, model) = (path("ds.json"), path("m.json"));
+        run_with(&["simulate", "--out", &ds, "--user", "1", "--train-secs", "120", "--test", "16"])
+            .unwrap();
+        run_with(&["train", "--dataset", &ds, "--model", &model]).unwrap();
+        let argv: Vec<String> =
+            ["--model", &model, "--premises", "3"].iter().map(|s| s.to_string()).collect();
+        let args = super::Args::parse(&argv).unwrap();
+        let mut monitors =
+            super::load_monitors(&args, Some(model.clone()), None, MonitorConfig::default())
+                .unwrap();
+        assert_eq!(monitors.iter().map(|(id, _)| *id).collect::<Vec<_>>(), [1, 2, 3]);
+        let stream: Vec<_> = super::load_dataset(
+            &super::Args::parse(&["--dataset".to_string(), ds.clone()]).unwrap(),
+        )
+        .unwrap()
+        .test
+        .into_iter()
+        .map(|t| t.record)
+        .collect();
+
+        // Premises 1 streams first and absorbs confident samples.
+        for record in &stream {
+            monitors[0].1.process(record);
+        }
+        assert!(monitors[0].1.stats().model_updates > 0, "premises 1 never self-updated");
+        // Premises 2 then decides exactly like a fresh load of the model.
+        let mut fresh =
+            Monitor::new(gem_core::Gem::load(&model).unwrap(), MonitorConfig::default());
+        for record in &stream {
+            assert_eq!(monitors[1].1.process(record), fresh.process(record));
+        }
+        // Premises 3 saw nothing and still holds the trained detector.
+        assert_eq!(monitors[2].1.gem().detector().n_updates, 0);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -1319,16 +1319,20 @@ impl BiSage {
     }
 
     /// Primary embeddings of every record node in the graph (training-set
-    /// feature matrix for the detector). Runs on the tape-free
-    /// [`crate::InferenceEngine`] batch path; bitwise identical to the
-    /// tape reference ([`BiSage::embed_all_records_tape`]).
+    /// feature matrix for the detector). One tape-free
+    /// [`crate::InferenceEngine`] embeds the records one by one, with no
+    /// trust filter; bitwise identical to the tape reference
+    /// ([`BiSage::embed_all_records_tape`]).
     pub fn embed_all_records(&self, graph: &BipartiteGraph) -> Tensor {
-        let records: Vec<RecordId> = (0..graph.n_records() as u32).map(RecordId).collect();
-        if records.is_empty() {
-            return Tensor::zeros(0, self.cfg.dim);
-        }
+        let d = self.cfg.dim;
+        let mut out = Tensor::zeros(graph.n_records(), d);
         let mut engine = crate::InferenceEngine::new();
-        engine.embed_records_batch(self, graph, &records, None)
+        let mut row = Vec::with_capacity(d);
+        for (r, dst) in out.data_mut().chunks_mut(d).enumerate() {
+            engine.embed_record_into(self, graph, RecordId(r as u32), None, &mut row);
+            dst.copy_from_slice(&row);
+        }
+        out
     }
 
     /// Tape-based reference for [`BiSage::embed_all_records`]; kept for

@@ -314,18 +314,6 @@ impl EnhancedDetector {
         Detection { score, is_outlier: score > self.tau_u, confident_inlier: score < self.tau_l }
     }
 
-    /// Scores a batch of samples across the worker pool. Scoring is
-    /// read-only, so samples are independent; results keep input order.
-    pub fn score_batch<S: AsRef<[f32]> + Sync>(&self, samples: &[S]) -> Vec<f64> {
-        gem_par::par_map(samples, |s| self.score(s.as_ref()))
-    }
-
-    /// Classifies a batch of samples across the worker pool (no model
-    /// mutation); results keep input order.
-    pub fn detect_batch<S: AsRef<[f32]> + Sync>(&self, samples: &[S]) -> Vec<Detection> {
-        gem_par::par_map(samples, |s| self.detect(s.as_ref()))
-    }
-
     /// Classifies and, when the sample is a highly confident in-premises
     /// one, absorbs it into the histograms (paper Section V-B). Returns
     /// the detection; `confident_inlier` tells whether an update happened.
@@ -469,20 +457,6 @@ mod tests {
     fn scores_order_inliers_below_outliers() {
         let det = EnhancedDetector::fit(&train_cluster(), 10, 0.06, 0.005, 0.001);
         assert!(det.score(&inlier()) < det.score(&outlier()));
-    }
-
-    #[test]
-    fn batch_scoring_matches_per_sample() {
-        let det = EnhancedDetector::fit(&train_cluster(), 10, 0.06, 0.005, 0.001);
-        let samples: Vec<Vec<f32>> = (0..100).map(|i| vec![0.3 + i as f32 / 50.0; 4]).collect();
-        let batch = det.score_batch(&samples);
-        for (s, &b) in samples.iter().zip(&batch) {
-            assert_eq!(det.score(s), b, "batch score must be bit-identical");
-        }
-        let dets = det.detect_batch(&samples);
-        for (s, d) in samples.iter().zip(&dets) {
-            assert_eq!(det.detect(s).score, d.score);
-        }
     }
 
     #[test]

@@ -209,76 +209,6 @@ impl Gem {
         }
     }
 
-    /// Batched online inference: adds every embeddable record, embeds
-    /// them through the engine's fused batch path, and scores them with
-    /// the batch detector. Results keep input order.
-    ///
-    /// A batch is one decision epoch, not a bitwise replay of
-    /// record-by-record streaming: every embedding is scored against the
-    /// batch-start detector state, the trust filter admits the whole
-    /// batch's targets during neighborhood expansion, and confident
-    /// updates plus trust bits are applied after scoring, in input order.
-    pub fn infer_batch(&mut self, records: &[SignalRecord]) -> Vec<Decision> {
-        self.last_added = None;
-        let mut rids: Vec<Option<RecordId>> = Vec::with_capacity(records.len());
-        for record in records {
-            rids.push(add_record_and_ensure(
-                &mut self.graph,
-                &mut self.bisage,
-                &mut self.engine,
-                &mut self.trusted,
-                &mut self.rng,
-                record,
-            ));
-        }
-        let targets: Vec<RecordId> = rids.iter().filter_map(|&r| r).collect();
-        let mut decisions = Vec::with_capacity(records.len());
-        if targets.is_empty() {
-            decisions.resize(
-                records.len(),
-                Decision { label: Label::Out, score: 1.0, updated: false, known_macs: false },
-            );
-            return decisions;
-        }
-        let hs = self.engine.embed_records_batch(
-            &self.bisage,
-            &self.graph,
-            &targets,
-            Some(&self.trusted),
-        );
-        let rows: Vec<Vec<f32>> = (0..hs.rows())
-            .map(|i| match &self.pca {
-                Some(rotation) => rotation.apply(hs.row(i)),
-                None => hs.row(i).to_vec(),
-            })
-            .collect();
-        let dets = self.detector.detect_batch(&rows);
-        let mut k = 0usize;
-        for rid in &rids {
-            match rid {
-                None => decisions.push(Decision {
-                    label: Label::Out,
-                    score: 1.0,
-                    updated: false,
-                    known_macs: false,
-                }),
-                Some(rid) => {
-                    let det = dets[k];
-                    let updated = self.detector.update_if_confident(&rows[k], &det);
-                    self.set_trusted(*rid, !det.is_outlier);
-                    decisions.push(Decision {
-                        label: if det.is_outlier { Label::Out } else { Label::In },
-                        score: det.score,
-                        updated,
-                        known_macs: true,
-                    });
-                    k += 1;
-                }
-            }
-        }
-        decisions
-    }
-
     /// Stage 1 of inference (timed separately in Table III): adds the
     /// record to the bipartite graph and computes its primary embedding.
     /// `None` when the record shares no MAC with the graph — such records
@@ -334,12 +264,6 @@ impl Gem {
     /// Stage 2: score + classify an embedding without mutating the model.
     pub fn detect_only(&self, h: &[f32]) -> Detection {
         self.detector.detect(h)
-    }
-
-    /// Stage 2 over many embeddings at once: the read-only detector fans
-    /// the batch across the worker pool; results keep input order.
-    pub fn detect_only_batch<S: AsRef<[f32]> + Sync>(&self, hs: &[S]) -> Vec<Detection> {
-        self.detector.detect_batch(hs)
     }
 
     /// Stage 3: absorb a highly confident in-premises embedding into the

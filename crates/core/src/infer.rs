@@ -37,13 +37,11 @@
 //!   are additionally pinned to the producing call, because their
 //!   segment depends on which records are being embedded right now.
 //!
-//! The batched path ([`InferenceEngine::embed_records_batch`]) amortizes
-//! further: targets sharing a MAC compute its `l¹` once, neighborhood
-//! collection fans out over `gem_par` workers, and the three matmuls run
-//! over the whole batch. Note the batch admits the *whole target set*
-//! into neighborhood expansions (one filter for one tree), so a batch is
-//! bitwise identical to the tape run over the same target set, not to a
-//! sequence of single-record calls.
+//! Every embedding takes the single-record path, one record at a time:
+//! streaming decisions exactly as the paper's online loop does, and fit
+//! time ([`crate::BiSage::embed_all_records`]) as one unfiltered engine
+//! walked over every training record, so a MAC's `l¹` is computed once
+//! and then served from the cache.
 //!
 //! Callers must keep base rows initialized (`ensure_rows*`) before
 //! embedding; the engine never mutates the model or the graph.
@@ -57,9 +55,6 @@ use gem_nn::tape::Activation;
 use gem_nn::Tensor;
 
 use crate::bisage::{node_row, normalize_into, Aggregator, BiSage, Tree};
-
-/// Fan out batched neighborhood collection above this many items.
-const PAR_THRESHOLD: usize = 32;
 
 /// Cached round-1 carrier aggregate `l¹` of one MAC node.
 struct MacEntry {
@@ -119,15 +114,6 @@ pub struct InferenceEngine {
     agg: Vec<f32>,
     cat: Tensor,
     lin: Tensor,
-    // Batch scratch.
-    in_targets: Vec<bool>,
-    seen: Vec<bool>,
-    seg_offs: Vec<u32>,
-    seg_macs: Vec<(u32, f32)>,
-    missing: Vec<u32>,
-    cat_b: Tensor,
-    lin_b: Tensor,
-    h1_b: Tensor,
     // Generic-tree path (rounds ≠ 2, and sampled trees).
     tree: Tree,
     tree_scratch: Vec<(NodeId, f32)>,
@@ -157,14 +143,6 @@ impl InferenceEngine {
             agg: Vec::new(),
             cat: Tensor::zeros(0, 0),
             lin: Tensor::zeros(0, 0),
-            in_targets: Vec::new(),
-            seen: Vec::new(),
-            seg_offs: Vec::new(),
-            seg_macs: Vec::new(),
-            missing: Vec::new(),
-            cat_b: Tensor::zeros(0, 0),
-            lin_b: Tensor::zeros(0, 0),
-            h1_b: Tensor::zeros(0, 0),
             tree: Tree::default(),
             tree_scratch: Vec::new(),
             cur: Vec::new(),
@@ -334,211 +312,6 @@ impl InferenceEngine {
     ) -> Vec<f32> {
         let mut out = Vec::new();
         self.embed_record_into(model, graph, record, trusted, &mut out);
-        out
-    }
-
-    /// Primary embeddings of a batch of records (rows in `records`
-    /// order). The trust filter admits the whole target set plus every
-    /// trusted record — bitwise identical to the tape run
-    /// `embed_nodes_filtered(graph, targets, set_wrapped)` — and MACs
-    /// shared between targets compute their cached aggregate once.
-    /// Neighborhood collection fans out over `gem_par` for large batches.
-    pub fn embed_records_batch(
-        &mut self,
-        model: &BiSage,
-        graph: &BipartiteGraph,
-        records: &[RecordId],
-        trusted: Option<&[bool]>,
-    ) -> Tensor {
-        self.call_id += 1;
-        let d = model.cfg.dim;
-        let aggr = model.cfg.aggregator;
-        let b = records.len();
-        if b == 0 {
-            return Tensor::zeros(0, d);
-        }
-        // Target-set bitmap, moved out of `self` so the filter closure
-        // leaves the engine free for scratch mutation.
-        let mut in_targets = std::mem::take(&mut self.in_targets);
-        in_targets.clear();
-        in_targets.resize(graph.n_records(), false);
-        for &r in records {
-            if let Some(slot) = in_targets.get_mut(r.0 as usize) {
-                *slot = true;
-            }
-        }
-        let tset = &in_targets;
-        let wrapped = trusted.map(|bits| {
-            move |r: RecordId| {
-                tset.get(r.0 as usize).copied().unwrap_or(false) || trusted_bit(bits, r)
-            }
-        });
-        let wref = wrapped.as_ref().map(|f| f as &(dyn Fn(RecordId) -> bool + Sync));
-
-        if model.cfg.rounds != 2 {
-            let nodes: Vec<NodeId> = records.iter().map(|&r| NodeId::Record(r)).collect();
-            model.build_tree_into(
-                graph,
-                &nodes,
-                None,
-                wref,
-                &mut self.tree,
-                &mut self.tree_scratch,
-            );
-            let out = self.forward_tree(model).clone();
-            self.in_targets = in_targets;
-            return out;
-        }
-
-        let parallel =
-            model.cfg.num_threads != 1 && b >= PAR_THRESHOLD && gem_par::num_threads() > 1;
-
-        // Stage A — per-target level-0 expansions (flattened for stage C)
-        // and the batched target-chain round 1.
-        let nbhs: Vec<Vec<(NodeId, f32)>> = if parallel {
-            gem_par::par_map(records, |&r| {
-                let mut v = Vec::new();
-                model.neighborhood_into(graph, NodeId::Record(r), wref, &mut v);
-                v
-            })
-        } else {
-            records
-                .iter()
-                .map(|&r| {
-                    let mut v = Vec::new();
-                    model.neighborhood_into(graph, NodeId::Record(r), wref, &mut v);
-                    v
-                })
-                .collect()
-        };
-        self.seg_offs.clear();
-        self.seg_offs.push(0);
-        self.seg_macs.clear();
-        self.cat_b.reset_to(b, 2 * d);
-        for (i, nbh) in nbhs.iter().enumerate() {
-            let w_total = seg_total(aggr, nbh);
-            let row = self.cat_b.row_mut(i);
-            row[..d].copy_from_slice(model.base_h.row(node_row(NodeId::Record(records[i]))));
-            for &(n, w) in nbh {
-                let NodeId::Mac(m) = n else { unreachable!("record neighbors are MACs") };
-                let nw = seg_norm(aggr, w, w_total);
-                self.seg_macs.push((m.0, nw));
-                kernels::axpy(&mut row[d..], nw, model.base_l.row(mac_row(m.0)));
-            }
-            self.seg_offs.push(self.seg_macs.len() as u32);
-        }
-        self.h1_b.reset_to(b, d);
-        self.cat_b.matmul_into(&model.w_h[0], &mut self.h1_b);
-        act_tensor(&mut self.h1_b, model.cfg.activation);
-        for i in 0..b {
-            normalize_into(self.h1_b.row_mut(i));
-        }
-
-        // Stage B — distinct MACs through the cache; misses batched.
-        if self.entries.len() < graph.n_macs() {
-            self.entries.resize_with(graph.n_macs(), || None);
-        }
-        self.seen.clear();
-        self.seen.resize(graph.n_macs(), false);
-        self.missing.clear();
-        let filtered_now = trusted.is_some();
-        let all_targets_trusted =
-            trusted.is_some_and(|bits| records.iter().all(|&r| trusted_bit(bits, r)));
-        for &(mid, _) in &self.seg_macs {
-            if self.seen[mid as usize] {
-                continue;
-            }
-            self.seen[mid as usize] = true;
-            let degree_now = graph.degree(NodeId::Mac(MacId(mid))) as u32;
-            let valid = self.entries[mid as usize].as_ref().is_some_and(|e| {
-                entry_valid(
-                    e,
-                    self.trust_epoch,
-                    self.call_id,
-                    degree_now,
-                    filtered_now,
-                    all_targets_trusted,
-                )
-            });
-            if valid {
-                self.hits += 1;
-            } else {
-                self.misses += 1;
-                self.missing.push(mid);
-            }
-        }
-        let m_cnt = self.missing.len();
-        if m_cnt > 0 {
-            let mac_nbhs: Vec<Vec<(NodeId, f32)>> = if parallel && m_cnt >= PAR_THRESHOLD {
-                gem_par::par_map(&self.missing, |&mid| {
-                    let mut v = Vec::new();
-                    model.neighborhood_into(graph, NodeId::Mac(MacId(mid)), wref, &mut v);
-                    v
-                })
-            } else {
-                self.missing
-                    .iter()
-                    .map(|&mid| {
-                        let mut v = Vec::new();
-                        model.neighborhood_into(graph, NodeId::Mac(MacId(mid)), wref, &mut v);
-                        v
-                    })
-                    .collect()
-            };
-            self.cat_b.reset_to(m_cnt, 2 * d);
-            let mut volatile = vec![false; m_cnt];
-            for (i, nbh) in mac_nbhs.iter().enumerate() {
-                let mid = self.missing[i];
-                let w_total = seg_total(aggr, nbh);
-                let row = self.cat_b.row_mut(i);
-                row[..d].copy_from_slice(model.base_l.row(mac_row(mid)));
-                for &(n, w) in nbh {
-                    let NodeId::Record(r) = n else { unreachable!("MAC neighbors are records") };
-                    if filtered_now && !trusted_bit(trusted.unwrap(), r) {
-                        volatile[i] = true;
-                    }
-                    let nw = seg_norm(aggr, w, w_total);
-                    let src = model.base_h.row(node_row(NodeId::Record(r)));
-                    kernels::axpy(&mut row[d..], nw, src);
-                }
-            }
-            self.lin_b.reset_to(m_cnt, d);
-            self.cat_b.matmul_into(&model.w_l[0], &mut self.lin_b);
-            act_tensor(&mut self.lin_b, model.cfg.activation);
-            for i in 0..m_cnt {
-                normalize_into(self.lin_b.row_mut(i));
-            }
-            for (i, (&mid, &vol)) in self.missing.iter().zip(&volatile).enumerate() {
-                let degree_now = graph.degree(NodeId::Mac(MacId(mid))) as u32;
-                store_entry(
-                    &mut self.entries[mid as usize],
-                    self.lin_b.row(i),
-                    self.trust_epoch,
-                    degree_now,
-                    filtered_now,
-                    vol.then_some(self.call_id),
-                );
-            }
-        }
-
-        // Stage C — batched target-chain round 2 from cached aggregates.
-        let mut out = Tensor::zeros(b, d);
-        self.cat_b.reset_to(b, 2 * d);
-        for i in 0..b {
-            let row = self.cat_b.row_mut(i);
-            row[..d].copy_from_slice(self.h1_b.row(i));
-            let (lo, hi) = (self.seg_offs[i] as usize, self.seg_offs[i + 1] as usize);
-            for &(mid, w) in &self.seg_macs[lo..hi] {
-                let e = self.entries[mid as usize].as_ref().expect("entry ensured in stage B");
-                kernels::axpy(&mut row[d..], w, &e.l1);
-            }
-        }
-        self.cat_b.matmul_into(&model.w_h[1], &mut out);
-        act_tensor(&mut out, model.cfg.activation);
-        for i in 0..b {
-            normalize_into(out.row_mut(i));
-        }
-        self.in_targets = in_targets;
         out
     }
 

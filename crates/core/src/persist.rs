@@ -86,7 +86,7 @@ const VERSION: u32 = 1;
 pub const BINARY_MAGIC: [u8; 8] = *b"\x89GEMSNAP";
 
 /// A complete serialized GEM system.
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct GemSnapshot {
     format: String,
     version: u32,
@@ -261,15 +261,32 @@ impl GemSnapshot {
     /// start with [`BINARY_MAGIC`], JSON text otherwise.
     pub fn decode(bytes: &[u8]) -> Result<GemSnapshot, PersistError> {
         if bytes.starts_with(&BINARY_MAGIC) {
+            return Self::decode_binary(bytes).map(|(snapshot, _)| snapshot);
+        }
+        Self::decode_text(bytes)
+    }
+
+    /// [`GemSnapshot::decode`] that also returns the [`fnv1a64`] of the
+    /// whole file — the checksum a manifest records for it. A binary
+    /// image yields it from the pass that verifies its trailer, so the
+    /// bytes are hashed once; JSON text is hashed once on its own.
+    pub fn decode_hashed(bytes: &[u8]) -> Result<(GemSnapshot, u64), PersistError> {
+        if bytes.starts_with(&BINARY_MAGIC) {
             return Self::decode_binary(bytes);
         }
+        Ok((Self::decode_text(bytes)?, fnv1a64(bytes)))
+    }
+
+    fn decode_text(bytes: &[u8]) -> Result<GemSnapshot, PersistError> {
         let text = std::str::from_utf8(bytes).map_err(|e| {
             PersistError::Format(format!("snapshot is neither a binary image nor JSON text: {e}"))
         })?;
         Self::from_json(text)
     }
 
-    fn decode_binary(bytes: &[u8]) -> Result<GemSnapshot, PersistError> {
+    /// Decodes a binary image and returns it with the whole-file
+    /// [`fnv1a64`] (the value [`GemSnapshot::encode_binary`] returned).
+    fn decode_binary(bytes: &[u8]) -> Result<(GemSnapshot, u64), PersistError> {
         let body_len = bytes
             .len()
             .checked_sub(8)
@@ -309,7 +326,7 @@ impl GemSnapshot {
             None
         };
         c.done()?;
-        Ok(GemSnapshot {
+        let snapshot = GemSnapshot {
             format: FORMAT.to_string(),
             version,
             cfg,
@@ -321,7 +338,8 @@ impl GemSnapshot {
             trusted,
             pca,
             rng,
-        })
+        };
+        Ok((snapshot, fnv1a64_extend(actual, trailer)))
     }
 
     /// Writes the snapshot to a file as JSON.
@@ -766,6 +784,14 @@ mod tests {
         assert!(image.len() * 2 < json.len(), "{} vs {} bytes", image.len(), json.len());
         assert_eq!(GemSnapshot::decode(&image).unwrap().to_json().unwrap(), json);
         assert_eq!(GemSnapshot::decode(json.as_bytes()).unwrap().to_json().unwrap(), json);
+        // The hashed decode reports the manifest checksum of either file.
+        let (decoded, hash) = GemSnapshot::decode_hashed(&image).unwrap();
+        assert_eq!(hash, checksum);
+        assert_eq!(decoded.to_json().unwrap(), json);
+        assert_eq!(
+            GemSnapshot::decode_hashed(json.as_bytes()).unwrap().1,
+            fnv1a64(json.as_bytes())
+        );
         let dir = std::env::temp_dir().join(format!("gem_persist_formats_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("m.gemsnap"), &image).unwrap();

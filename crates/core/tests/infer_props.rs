@@ -9,8 +9,10 @@
 //!    admits the record itself plus every trusted record — including the
 //!    trust-filtered neighborhood fallback and the isolated-node
 //!    random-init path.
-//! 2. **Batched ≡ tape.** `embed_records_batch` must reproduce the tape
-//!    forward over the same targets under the batch's set-wrapped filter.
+//! 2. **Unfiltered ≡ tape.** The fit-time form behind
+//!    `embed_all_records` (one engine, no trust filter, records one by
+//!    one) must reproduce the unfiltered tape forward over the same
+//!    targets.
 //! 3. **Cache soundness.** A warm engine carried across graph growth and
 //!    trust flips must match a cold engine rebuilt at every step.
 //! 4. **Targeted row init ≡ full scan.** In session-quarantine mode the
@@ -160,33 +162,24 @@ proptest! {
         }
     }
 
-    /// The fused batch path must be bitwise identical to the tape forward
-    /// over the same targets under the batch's set-wrapped trust filter.
+    /// The fit-time form — one engine, no trust filter, records one by
+    /// one with the cache warm across them — must be bitwise identical to
+    /// the unfiltered tape forward over the same targets, streamed
+    /// records and random-init fallbacks included.
     #[test]
-    fn engine_batch_matches_tape_bitwise(s in ScenarioStrategy) {
+    fn unfiltered_engine_matches_tape_bitwise(s in ScenarioStrategy) {
         let (mut model, mut graph, mut rng) = fit_model(&s);
-        let mut trusted: Vec<bool> = vec![true; graph.n_records()];
         let mut targets = Vec::new();
         for (i, rec) in s.streamed.iter().enumerate() {
             targets.push(graph.add_record(&to_record(i, rec)));
-            trusted.push(s.trusted_streamed[i]);
         }
-        {
-            let bits: &[bool] = &trusted;
-            let filter = move |r: RecordId| bits[r.0 as usize];
-            model.ensure_rows_filtered(&graph, &mut rng, Some(&filter));
-        }
+        model.ensure_rows(&graph, &mut rng);
         let mut engine = InferenceEngine::new();
-        let got = engine.embed_records_batch(&model, &graph, &targets, Some(&trusted));
-        let mut in_targets = vec![false; graph.n_records()];
-        for rid in &targets {
-            in_targets[rid.0 as usize] = true;
-        }
-        let bits: &[bool] = &trusted;
-        let wrapped = move |r: RecordId| in_targets[r.0 as usize] || bits[r.0 as usize];
+        let got: Vec<f32> =
+            targets.iter().flat_map(|&r| engine.embed_record(&model, &graph, r, None)).collect();
         let nodes: Vec<NodeId> = targets.iter().map(|&r| NodeId::Record(r)).collect();
-        let (want, _) = model.embed_nodes_filtered(&graph, &nodes, Some(&wrapped));
-        prop_assert_eq!(bits_of(got.data()), bits_of(want.data()), "batch diverged from tape");
+        let (want, _) = model.embed_nodes(&graph, &nodes);
+        prop_assert_eq!(bits_of(&got), bits_of(want.data()), "unfiltered engine diverged from tape");
     }
 
     /// A warm engine carried across graph growth and trust flips must

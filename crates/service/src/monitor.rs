@@ -68,8 +68,8 @@ pub struct MonitorStats {
     pub cache_hits: u64,
     /// Streaming-engine MAC-aggregate cache misses.
     pub cache_misses: u64,
-    /// Decision epochs applied (batched [`Monitor::process_batch`] calls;
-    /// each is one model-consistent group, the fleet's replay unit).
+    /// Decision epochs applied ([`Monitor::process_batch`] calls; each
+    /// is one journal entry, the fleet's replay unit).
     #[serde(default)]
     pub epochs: u64,
     /// Scans refused at admission (queue full). Counted by the layer that
@@ -158,24 +158,24 @@ impl Monitor {
         events
     }
 
-    /// Processes a batch of scans as *one decision epoch*: the model
-    /// scores all records against the state at the start of the batch
-    /// (see [`Gem::infer_batch`]), then the alert policy folds the
-    /// decisions in submission order. This is the unit the fleet
-    /// coalesces, journals and replays — identical batches always yield
-    /// identical events.
+    /// Processes a batch of scans as *one decision epoch*: each record
+    /// is decided through [`Gem::infer`] in order, exactly as
+    /// [`Monitor::process`] would, so the events equal a per-record
+    /// replay whatever the grouping. The epoch is the unit the fleet
+    /// journals, group-commits and replays, not a scoring unit: it only
+    /// adds one `epochs` tick.
     pub fn process_batch(&mut self, records: &[SignalRecord]) -> Vec<Event> {
         if records.is_empty() {
             return Vec::new();
         }
-        let decisions = self.gem.infer_batch(records);
         self.stats.epochs += 1;
         if let Some(obs) = &self.obs {
             obs.epochs.inc();
         }
         let mut events = Vec::with_capacity(records.len() + 2);
-        for (record, decision) in records.iter().zip(&decisions) {
-            self.apply_decision(record.timestamp_s, decision, &mut events);
+        for record in records {
+            let decision = self.gem.infer(record);
+            self.apply_decision(record.timestamp_s, &decision, &mut events);
         }
         self.mirror_cache();
         events
@@ -409,9 +409,9 @@ mod tests {
 
     #[test]
     fn batch_epochs_are_deterministic() {
-        // Two identical monitors (fixed seeds) fed the same chunks must
-        // produce identical event streams — the property fleet replay
-        // relies on.
+        // An epoch decides its records one by one, so chunked epochs
+        // produce exactly the events of a per-record run — the property
+        // fleet replay relies on, whatever the queue grouped.
         let (mut a, ds) = monitor();
         let (mut b, _) = monitor();
         let records: Vec<_> = ds.test.iter().map(|t| t.record.clone()).take(24).collect();
@@ -420,10 +420,11 @@ mod tests {
         for chunk in records.chunks(5) {
             ea.extend(a.process_batch(chunk));
         }
-        for chunk in records.chunks(5) {
-            eb.extend(b.process_batch(chunk));
+        for record in &records {
+            eb.extend(b.process(record));
         }
         assert_eq!(ea, eb);
+        assert_eq!(b.stats().epochs, 0, "single-record processing opens no epoch");
         assert_eq!(a.stats().epochs, 5, "24 records in chunks of 5 = 5 epochs");
         assert_eq!(a.stats().scans, 24);
         assert!(a.process_batch(&[]).is_empty());

@@ -2,11 +2,14 @@
 //! premises routed to it.
 //!
 //! The shard drains its ingress channel into per-premises pending
-//! queues, then coalesces each premises' backlog into `infer_batch`
-//! decision epochs — at most `max_batch` records per premises per drain
-//! pass, rotating fairly across the premises that actually have work, so
-//! one chatty tenant cannot starve the others. Every epoch is journaled
-//! (write-ahead) before it is processed.
+//! queues, then groups each premises' backlog into decision epochs — at
+//! most `max_batch` records per premises per drain pass, rotating fairly
+//! across the premises that actually have work, so one chatty tenant
+//! cannot starve the others. An epoch is the journal unit: one entry,
+//! written ahead and group-committed with the pass's other epochs before
+//! its records are decided, one by one through `Gem::infer`. So a
+//! premises' decisions depend only on its record stream, never on how
+//! the queue happened to group it.
 //!
 //! # Tiered residency
 //!
@@ -28,8 +31,6 @@
 //! Long-lived loops get dedicated OS threads rather than `gem-par` pool
 //! workers: the scoped fork-join pool in `gem-par` is built for bounded
 //! compute bursts and would deadlock if its workers parked in `recv()`.
-//! The batched model math inside `process_batch` still uses `gem-par`
-//! internally.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
@@ -40,7 +41,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender};
 
-use gem_core::{fnv1a64_hex, GemSnapshot, PremisesEntry};
+use gem_core::{GemSnapshot, PremisesEntry};
 use gem_obs::{SpanContext, TraceEvent};
 use gem_signal::SignalRecord;
 
@@ -826,15 +827,23 @@ impl ShardWorker {
         let bytes = std::fs::read(dir.join(&stored.file)).unwrap_or_else(|e| {
             panic!("shard {}: hydrate read {} failed: {e}", self.id, stored.file)
         });
+        // One pass over the bytes: the decoder hashes the whole file as
+        // it verifies the image, and that hash is the manifest's.
+        let (snapshot, checksum) = GemSnapshot::decode_hashed(&bytes).unwrap_or_else(|e| {
+            panic!(
+                "shard {}: snapshot {} corrupt on hydrate of premises {premises_id}: {e}",
+                self.id, stored.file
+            )
+        });
         assert_eq!(
-            fnv1a64_hex(&bytes),
+            format!("{checksum:016x}"),
             stored.checksum,
             "shard {}: snapshot {} corrupt on hydrate of premises {premises_id}",
             self.id,
             stored.file
         );
-        let gem = GemSnapshot::decode(&bytes)
-            .and_then(|s| s.restore())
+        let gem = snapshot
+            .restore()
             .unwrap_or_else(|e| panic!("shard {}: restoring {} failed: {e}", self.id, stored.file));
         let mut monitor = Monitor::from_state(gem, stored.state);
         if let Some(obs) = self.monitor_obs.get(&premises_id) {

@@ -1,13 +1,15 @@
 //! Property tests for fleet determinism: the sharded multi-tenant
 //! runtime must make exactly the decisions a standalone [`Monitor`]
-//! makes — bitwise, scores included — when both see the same records in
-//! the same epoch grouping, across 1, 2 and 4 shards.
+//! makes — bitwise, scores included — when both see the same records,
+//! across 1, 2 and 4 shards.
 //!
-//! Epoch boundaries are the contract: the fleet coalesces each premises'
-//! backlog into `infer_batch` epochs of at most `max_batch` records.
-//! Submitting while paused and flushing reproduces that grouping
-//! deterministically, and the standalone reference applies the identical
-//! chunking via `process_batch`.
+//! The fleet groups each premises' backlog into epochs of at most
+//! `max_batch` records. An epoch is the journal and replay unit, but it
+//! decides its records one by one through `Gem::infer`, so decisions
+//! must not depend on the grouping: the live-drain test races
+//! submissions against unpaused shards at every `max_batch` and compares
+//! with a per-record `Monitor::process` replay. The paused tests keep
+//! the grouping deterministic and mirror it with `process_batch`.
 
 use std::sync::OnceLock;
 
@@ -157,12 +159,12 @@ proptest! {
         }
     }
 
-    /// Autonomous drain determinism: with `max_batch = 1` every record is
-    /// its own epoch, so per-premises decisions must be bitwise-equal to
-    /// the standalone monitor even when shards drain live (no pause) and
-    /// submissions race in from one thread per premises. Epoch *timing*
-    /// is up to each shard's own loop; decision *content and order* are
-    /// not.
+    /// Load independence: shards drain live (no pause) while one thread
+    /// per premises races submissions in, so how records group into
+    /// epochs of at most `max_batch` depends on timing. Per-premises
+    /// decisions must still be bitwise-equal to a standalone monitor
+    /// deciding the stream record by record. Epoch *timing* is up to
+    /// each shard's own loop; decision *content and order* are not.
     #[test]
     fn live_concurrent_drain_matches_standalone(plan in PlanStrategy) {
         let tenants = tenants();
@@ -178,7 +180,7 @@ proptest! {
             monitors,
             FleetConfig {
                 shards: plan.shards,
-                max_batch: 1,
+                max_batch: plan.max_batch,
                 queue_per_shard: 256,
                 dir: None,
                 snapshot_interval: None,
@@ -219,13 +221,13 @@ proptest! {
             let stream = &tenants[i].stream;
             let mut expected = Vec::new();
             for k in 0..per_premises {
-                expected.extend(reference.process_batch(&[stream[k % stream.len()].clone()]));
+                expected.extend(reference.process(&stream[k % stream.len()]));
             }
             let got = fleet_events_of(&fleet_events, p);
             prop_assert_eq!(
                 &got, &expected,
-                "premises {} diverged under live drain (shards={})",
-                p, plan.shards
+                "premises {} diverged under live drain (shards={}, max_batch={})",
+                p, plan.shards, plan.max_batch
             );
         }
     }

@@ -347,3 +347,75 @@ fn premises_is_single_owner_with_busy_shed_until_release() {
     drop(server);
     fleet.shutdown().unwrap();
 }
+
+/// Streams `records` for `premises_id` keeping up to the advertised
+/// credit window unresolved, and returns each DECISION's label and
+/// score in arrival order (per-premises FIFO).
+fn stream_windowed(
+    client: &mut Client,
+    premises_id: u64,
+    records: &[SignalRecord],
+) -> Vec<(bool, u64)> {
+    let window = client.credits as usize;
+    let mut decided = Vec::with_capacity(records.len());
+    let mut sent = 0usize;
+    while decided.len() < records.len() {
+        while sent < records.len() && sent - decided.len() < window {
+            client.send_record(premises_id, records[sent].clone()).unwrap();
+            sent += 1;
+        }
+        match client.recv_until(|f| matches!(f, Frame::Decision { .. })) {
+            Frame::Decision { premises_id: p, inside, score, .. } => {
+                assert_eq!(p, premises_id);
+                decided.push((inside, score.to_bits()));
+            }
+            _ => unreachable!(),
+        }
+    }
+    decided
+}
+
+/// Load independence end to end: two premises stream unpaused through
+/// the ingress with a credit window above 1, against shards that group
+/// backlogs into epochs of up to the default `max_batch`. Every
+/// decision must equal a per-premises `Gem::infer` replay of the same
+/// stream, label and score bitwise, however the queue grouped it.
+#[test]
+fn windowed_streams_decide_like_a_sequential_replay() {
+    assert!(FleetConfig::default().max_batch > 1);
+    let fx = fixture();
+    let (fleet, server) = serve(&[1, 2], IngressConfig::default());
+    let streams: Vec<Vec<SignalRecord>> = [0usize, 5]
+        .iter()
+        .map(|&offset| (0..3 * fx.stream.len()).map(|i| record(i + offset)).collect())
+        .collect();
+    let got: Vec<Vec<(bool, u64)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = streams
+            .iter()
+            .enumerate()
+            .map(|(i, records)| {
+                let addr = server.local_addr();
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr);
+                    assert!(client.credits > 1, "the window must allow a backlog");
+                    stream_windowed(&mut client, i as u64 + 1, records)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    drop(server);
+    fleet.shutdown().unwrap();
+
+    for (i, records) in streams.iter().enumerate() {
+        let mut gem = GemSnapshot::from_json(&fx.snapshot_json).unwrap().restore().unwrap();
+        let want: Vec<(bool, u64)> = records
+            .iter()
+            .map(|r| {
+                let d = gem.infer(r);
+                (d.label == gem_signal::Label::In, d.score.to_bits())
+            })
+            .collect();
+        assert_eq!(got[i], want, "premises {} diverged from its sequential replay", i + 1);
+    }
+}
