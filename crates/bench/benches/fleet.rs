@@ -35,6 +35,12 @@
 //! tracing fully off (same interleaved best-of-N protocol, with the
 //! within-mode spread reported as the noise floor).
 //!
+//! Each shard's queue holds the whole load `shard_for` routes to the
+//! busiest shard (records per premises × premises on that shard), so
+//! admission never sheds and the submitters never spin on retries
+//! against the shards they are measuring; every run prints its shed
+//! rate, which should read 0.
+//!
 //! `GEM_BENCH_QUICK=1` shrinks the workload for CI smoke runs.
 
 use std::io::Write;
@@ -50,7 +56,6 @@ use gem_signal::SignalRecord;
 
 const N_PREMISES: usize = 4;
 const MAX_BATCH: usize = 32;
-const QUEUE_PER_SHARD: usize = 256;
 
 fn quick() -> bool {
     std::env::var("GEM_BENCH_QUICK").as_deref() == Ok("1")
@@ -78,6 +83,20 @@ fn tenants() -> Vec<Tenant> {
             }
         })
         .collect()
+}
+
+/// Premises `shard_for` routes to the busiest of `shards` shards.
+fn busiest_shard_premises(shards: usize) -> usize {
+    (0..shards)
+        .map(|s| (1..=N_PREMISES as u64).filter(|&p| shard_for(p, shards) == s).count())
+        .max()
+        .unwrap()
+}
+
+/// A shard queue that admits a run's whole load at once on the busiest
+/// shard: each premises' admission quota is then its full record count.
+fn queue_per_shard(shards: usize, records_per_premises: usize) -> usize {
+    records_per_premises * busiest_shard_premises(shards)
 }
 
 fn restore_monitor(tenant: &Tenant) -> Monitor {
@@ -155,7 +174,7 @@ fn run_fleet(
         monitors,
         FleetConfig {
             shards,
-            queue_per_shard: QUEUE_PER_SHARD,
+            queue_per_shard: queue_per_shard(shards, records_per_premises),
             max_batch: MAX_BATCH,
             dir: None,
             snapshot_interval: None,
@@ -280,6 +299,7 @@ struct ShardLine {
     records_per_sec: f64,
     p50_latency_ms: f64,
     p99_latency_ms: f64,
+    queue_per_shard: usize,
     hist_p50_latency_ms: f64,
     hist_p99_latency_ms: f64,
     shed_rate: f64,
@@ -298,6 +318,7 @@ struct FleetBenchLine {
     premises: usize,
     records_per_premises: usize,
     max_batch: usize,
+    /// Shard queue of the overhead runs at the largest shard count.
     queue_per_shard: usize,
     baseline_records_per_sec: f64,
     shard_results: Vec<ShardLine>,
@@ -372,6 +393,7 @@ fn main() {
             records_per_sec: r.records_per_sec,
             p50_latency_ms: r.p50_latency_ms,
             p99_latency_ms: r.p99_latency_ms,
+            queue_per_shard: queue_per_shard(shards, records_per_premises),
             hist_p50_latency_ms: r.hist_p50_ms,
             hist_p99_latency_ms: r.hist_p99_ms,
             shed_rate: r.shed_rate,
@@ -388,10 +410,7 @@ fn main() {
     // than the shard that holds the most records. On a single core there
     // is nothing to scale with; the fleet only has to stay in the same
     // league as the record-at-a-time baseline.
-    let busiest = (0..max_shards)
-        .map(|s| (1..=N_PREMISES as u64).filter(|&p| shard_for(p, max_shards) == s).count())
-        .max()
-        .unwrap();
+    let busiest = busiest_shard_premises(max_shards);
     let ideal = (N_PREMISES as f64 / busiest as f64).min(cores as f64);
     let required = if cores >= 2 { 0.7 * ideal } else { 0.5 };
     let efficiency = measured / ideal;
@@ -417,18 +436,20 @@ fn main() {
     // zero — "metrics made it faster" is noise, not a negative cost.
     let overhead_records = records_per_premises.max(240);
     let pairs = if quick() { 3 } else { 4 };
+    // Overhead runs keep only throughput; the worst shed rate among
+    // them is printed once both gates have run.
+    let mut overhead_shed_rate = 0f64;
+    let mut overhead_run = |obs: ObsOptions| {
+        let r = run_fleet(&tenants, max_shards, overhead_records, obs);
+        overhead_shed_rate = overhead_shed_rate.max(r.shed_rate);
+        r.records_per_sec
+    };
     // Shared warmup, discarded.
-    run_fleet(&tenants, max_shards, overhead_records, ObsOptions::default());
+    overhead_run(ObsOptions::default());
     let (mut off_samples, mut on_samples) = (Vec::new(), Vec::new());
     for _ in 0..pairs {
-        off_samples.push(
-            run_fleet(&tenants, max_shards, overhead_records, obs_mode(false, 0.0, 0.0))
-                .records_per_sec,
-        );
-        on_samples.push(
-            run_fleet(&tenants, max_shards, overhead_records, ObsOptions::default())
-                .records_per_sec,
-        );
+        off_samples.push(overhead_run(obs_mode(false, 0.0, 0.0)));
+        on_samples.push(overhead_run(ObsOptions::default()));
     }
     let best = |s: &[f64]| s.iter().copied().fold(0f64, f64::max);
     let worst = |s: &[f64]| s.iter().copied().fold(f64::INFINITY, f64::min);
@@ -458,14 +479,8 @@ fn main() {
     // difference clamped at zero.
     let (mut trace_off_samples, mut trace_on_samples) = (Vec::new(), Vec::new());
     for _ in 0..pairs {
-        trace_off_samples.push(
-            run_fleet(&tenants, max_shards, overhead_records, obs_mode(true, 0.0, 0.0))
-                .records_per_sec,
-        );
-        trace_on_samples.push(
-            run_fleet(&tenants, max_shards, overhead_records, obs_mode(true, 0.01, 250.0))
-                .records_per_sec,
-        );
+        trace_off_samples.push(overhead_run(obs_mode(true, 0.0, 0.0)));
+        trace_on_samples.push(overhead_run(obs_mode(true, 0.01, 250.0)));
     }
     let (best_trace_off, best_trace_on) = (best(&trace_off_samples), best(&trace_on_samples));
     let tracing_noise_floor_pct = ((best_trace_off - worst(&trace_off_samples)) / best_trace_off)
@@ -484,13 +499,14 @@ fn main() {
          (off {best_trace_off:.1} rec/s, on {best_trace_on:.1} rec/s, \
          overhead {tracing_overhead_pct:.2}%)"
     );
+    println!("overhead runs: worst shed rate {overhead_shed_rate:.4}");
     let line = FleetBenchLine {
         bench: "fleet",
         cores,
         premises: N_PREMISES,
         records_per_premises,
         max_batch: MAX_BATCH,
-        queue_per_shard: QUEUE_PER_SHARD,
+        queue_per_shard: queue_per_shard(max_shards, overhead_records),
         baseline_records_per_sec: baseline,
         shard_results,
         required_speedup: required,

@@ -1,7 +1,9 @@
 //! Streaming-inference benchmarks: the tape-free engine against the
 //! tape-based reference on the single-record path, plus the fit-time
-//! `BiSage::embed_all_records` over the whole graph, with MAC-aggregate
-//! cache hit rates and a steady-state allocation audit.
+//! `BiSage::embed_all_records` over the whole graph, with a steady-state
+//! allocation audit. The engine keeps nothing across calls, so every
+//! timed embed computes the round-1 aggregate of each MAC the target
+//! hears, exactly as a live decision does.
 //!
 //! Run with `cargo bench -p gem-bench --bench infer`. Each run appends
 //! one JSON line to `BENCH_infer.json` at the repository root.
@@ -14,9 +16,8 @@
 //!
 //! A second, hub fixture gives the live path's shape: a few MACs that
 //! every record hears, each with a degree of at least 20 × the inference
-//! cap, about a fifth of the records untrusted, and the MAC-aggregate
-//! cache dropped before every call (as each in-premises decision flips a
-//! trust bit live). It is timed as `engine_hub` and audited for
+//! cap, and about a fifth of the records untrusted, so the MAC walks
+//! skip records. It is timed as `engine_hub` and audited for
 //! allocations alongside the clustered fixture.
 //!
 //! `GEM_BENCH_QUICK=1` shrinks criterion sampling for CI smoke runs.
@@ -151,13 +152,6 @@ fn hub_shape(fx: &Fixture) -> (usize, f64) {
     (min_degree, untrusted as f64 / fx.trusted.len() as f64)
 }
 
-/// One live-shaped embed: the cache is dropped first, as every
-/// in-premises decision does by flipping a trust bit.
-fn embed_uncached(engine: &mut InferenceEngine, fx: &Fixture, rid: RecordId, out: &mut Vec<f32>) {
-    engine.notify_trust_change();
-    engine.embed_record_into(&fx.model, &fx.graph, rid, Some(&fx.trusted), out);
-}
-
 fn bench_paths(c: &mut Criterion, fx: &Fixture) {
     let mut group = c.benchmark_group("streaming_inference");
     group.sample_size(30);
@@ -180,7 +174,7 @@ fn bench_paths(c: &mut Criterion, fx: &Fixture) {
         });
     }
 
-    // Tape-free engine, persistent scratch + warm MAC-aggregate cache.
+    // Tape-free engine with persistent scratch.
     {
         let mut engine = InferenceEngine::new();
         let mut out = Vec::new();
@@ -208,8 +202,7 @@ fn bench_paths(c: &mut Criterion, fx: &Fixture) {
     group.finish();
 }
 
-/// The hub fixture through the single-record engine, cache cold on
-/// every call.
+/// The hub fixture through the single-record engine.
 fn bench_hub(c: &mut Criterion, hub: &Fixture) {
     let mut group = c.benchmark_group("streaming_inference_hub");
     group.sample_size(30);
@@ -220,7 +213,13 @@ fn bench_hub(c: &mut Criterion, hub: &Fixture) {
         b.iter(|| {
             let rid = hub.targets[idx % hub.targets.len()];
             idx += 1;
-            embed_uncached(&mut engine, black_box(hub), rid, &mut out);
+            engine.embed_record_into(
+                black_box(&hub.model),
+                black_box(&hub.graph),
+                rid,
+                Some(&hub.trusted),
+                &mut out,
+            );
             black_box(&out);
         })
     });
@@ -248,27 +247,22 @@ fn bench_scoring(c: &mut Criterion, fx: &Fixture) {
     group.finish();
 }
 
-/// Steady-state audit of the warm single-record engine path: cache hit
-/// rate always; with `--features count-allocs` also the allocation
-/// count, which must be exactly zero.
-fn audit_steady_state(fx: &Fixture) -> (f64, Option<u64>) {
+/// Steady-state allocation audit of the warm single-record engine path:
+/// `None` unless built with `--features count-allocs`, and then exactly
+/// zero.
+fn audit_steady_state(fx: &Fixture) -> Option<u64> {
     let mut engine = InferenceEngine::new();
     let mut out = Vec::new();
-    // Warm pass: populates the cache and grows every scratch buffer.
+    // Warm pass: grows every scratch buffer.
     for &rid in &fx.targets {
         engine.embed_record_into(&fx.model, &fx.graph, rid, Some(&fx.trusted), &mut out);
     }
-    let warm_stats = engine.cache_stats();
     allocs::reset();
     let n = 4 * fx.targets.len();
     for i in 0..n {
         let rid = fx.targets[i % fx.targets.len()];
         engine.embed_record_into(&fx.model, &fx.graph, rid, Some(&fx.trusted), &mut out);
     }
-    let steady = engine.cache_stats();
-    let hits = steady.hits - warm_stats.hits;
-    let misses = steady.misses - warm_stats.misses;
-    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     let audit = allocs::ENABLED.then(|| {
         let total = allocs::stats().allocs;
         assert_eq!(
@@ -277,23 +271,20 @@ fn audit_steady_state(fx: &Fixture) -> (f64, Option<u64>) {
         );
         total
     });
-    println!(
-        "steady-state cache: {hits} hits / {misses} misses (rate {hit_rate:.3}), allocs {audit:?}"
-    );
-    (hit_rate, audit)
+    println!("steady state: allocs {audit:?}");
+    audit
 }
 
-/// The same allocation audit on the hub fixture, with the cache dropped
-/// before every call so each MAC's neighborhood is collected again.
+/// The same allocation audit on the hub fixture.
 fn audit_hub(hub: &Fixture) -> Option<u64> {
     let mut engine = InferenceEngine::new();
     let mut out = Vec::new();
     for &rid in &hub.targets {
-        embed_uncached(&mut engine, hub, rid, &mut out);
+        engine.embed_record_into(&hub.model, &hub.graph, rid, Some(&hub.trusted), &mut out);
     }
     allocs::reset();
     for &rid in &hub.targets {
-        embed_uncached(&mut engine, hub, rid, &mut out);
+        engine.embed_record_into(&hub.model, &hub.graph, rid, Some(&hub.trusted), &mut out);
     }
     let audit = allocs::ENABLED.then(|| {
         let total = allocs::stats().allocs;
@@ -323,8 +314,6 @@ struct InferBenchLine {
     /// (training plus streamed records).
     fit_embed_median_ns: f64,
     fit_embed_records_per_sec: f64,
-    /// Steady-state MAC-aggregate cache hit rate on the warm engine.
-    cache_hit_rate: f64,
     /// Heap allocations per warm single-record inference; `null` unless
     /// built with `--features count-allocs`. Gated to exactly 0.
     allocs_per_inference: Option<u64>,
@@ -335,17 +324,11 @@ struct InferBenchLine {
     hub_min_mac_degree: usize,
     /// Share of the hub fixture's records that are untrusted.
     hub_untrusted_frac: f64,
-    /// Median single-record engine embed on the hub fixture, cache cold.
+    /// Median single-record engine embed on the hub fixture.
     hub_engine_single_median_ns: f64,
 }
 
-fn append_results(
-    c: &Criterion,
-    hit_rate: f64,
-    alloc_total: Option<u64>,
-    fx: &Fixture,
-    hub: &Fixture,
-) {
+fn append_results(c: &Criterion, alloc_total: Option<u64>, fx: &Fixture, hub: &Fixture) {
     let find = |name: &str| {
         c.reports()
             .iter()
@@ -374,7 +357,6 @@ fn append_results(
         engine_single_records_per_sec: 1e9 / engine.median_ns,
         fit_embed_median_ns: fit_embed.median_ns,
         fit_embed_records_per_sec: fx.graph.n_records() as f64 / (fit_embed.median_ns * 1e-9),
-        cache_hit_rate: hit_rate,
         allocs_per_inference: alloc_total,
         kernel_backend: gem_nn::kernels::backend_name(),
         score_f64_median_ns: score_f64.median_ns,
@@ -416,8 +398,8 @@ fn main() {
     bench_paths(&mut c, &fx);
     bench_hub(&mut c, &hub);
     bench_scoring(&mut c, &fx);
-    let (hit_rate, alloc_total) = audit_steady_state(&fx);
+    let alloc_total = audit_steady_state(&fx);
     let hub_allocs = audit_hub(&hub);
     c.final_summary();
-    append_results(&c, hit_rate, alloc_total.map(|n| n + hub_allocs.unwrap_or(0)), &fx, &hub);
+    append_results(&c, alloc_total.map(|n| n + hub_allocs.unwrap_or(0)), &fx, &hub);
 }

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use gem_core::{BiSage, BiSageConfig, EnhancedDetector, HistogramModel};
+use gem_core::{BiSage, BiSageConfig, EnhancedDetector, HistogramModel, InferenceEngine};
 use gem_graph::{BipartiteGraph, WeightFn};
 use gem_nn::tape::{Graph, ParamStore};
 use gem_nn::{init, Tensor};
@@ -73,8 +73,12 @@ fn bench_models(c: &mut Criterion) {
         };
         let mut model = BiSage::new(cfg);
         model.fit(&graph);
-        let mut rng = child_rng(15, 16);
-        b.iter(|| black_box(model.embed_record(&graph, gem_graph::RecordId(100), &mut rng)))
+        let mut engine = InferenceEngine::new();
+        let mut out = Vec::new();
+        b.iter(|| {
+            engine.embed_record_into(&model, &graph, gem_graph::RecordId(100), None, &mut out);
+            black_box(&out);
+        })
     });
 
     group.bench_function("hbos_fit_300x32", |b| {

@@ -51,7 +51,6 @@ const REQUIRED_METRICS: &[&str] = &[
     "gem_monitor_alerts_total",
     "gem_monitor_self_updates_total",
     "gem_monitor_epochs_total",
-    "gem_infer_cache_events_total",
     "gem_shard_hot_premises",
     "gem_shard_cold_premises",
     "gem_shard_evictions_total",

@@ -1382,38 +1382,6 @@ impl BiSage {
         let (h, _) = self.forward(&mut g, &tree, None, None, &mut fs);
         g.value(h).clone()
     }
-
-    /// Primary embedding of one (possibly new) record node. Grows and
-    /// initializes base rows as needed — this is the paper's Section V-A
-    /// embedding prediction for streamed records. The RNG is only used
-    /// for the random-init fallback of isolated new nodes.
-    pub fn embed_record(
-        &mut self,
-        graph: &BipartiteGraph,
-        record: RecordId,
-        rng: &mut impl RngExt,
-    ) -> Vec<f32> {
-        self.embed_record_filtered(graph, record, rng, None)
-    }
-
-    /// [`BiSage::embed_record`] with a trusted-record filter on the
-    /// neighborhood expansion (the streamed node itself is always kept).
-    pub fn embed_record_filtered(
-        &mut self,
-        graph: &BipartiteGraph,
-        record: RecordId,
-        rng: &mut impl RngExt,
-        trusted: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
-    ) -> Vec<f32> {
-        self.ensure_rows_filtered(graph, rng, trusted);
-        let wrapped = trusted.map(|f| move |r: RecordId| r == record || f(r));
-        let (h, _) = self.embed_nodes_filtered(
-            graph,
-            &[NodeId::Record(record)],
-            wrapped.as_ref().map(|f| f as &(dyn Fn(RecordId) -> bool + Sync)),
-        );
-        h.row(0).to_vec()
-    }
 }
 
 /// RNG stream id of one training chunk: a fixed tag XOR-folded with the
@@ -1649,7 +1617,8 @@ mod tests {
             99.0,
             [(mac(1), -46.0), (mac(2), -56.0), (mac(3), -64.0)],
         ));
-        let h = model.embed_record(&g, rid, &mut rng);
+        model.ensure_rows(&g, &mut rng);
+        let h = crate::InferenceEngine::new().embed_record(&model, &g, rid, None);
         let hrow = Tensor::from_vec(1, h.len(), h);
         let da: f32 =
             (0..n).map(|i| Tensor::row_distance(&hrow, 0, &emb, i)).sum::<f32>() / n as f32;

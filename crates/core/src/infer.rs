@@ -24,30 +24,19 @@
 //!   a MAC costs O(cap + skipped untrusted records), not O(degree ·
 //!   log degree), however many records the session has added to it, and
 //!   the result is bitwise the filter → stable sort → truncate list.
-//! - **Per-MAC aggregate cache.** For the default two-round model the
-//!   only shareable intermediate is each MAC's round-1 carrier `l¹` (the
-//!   level-`K−1` aggregate). Entries are tagged with the trust epoch and
-//!   the MAC's degree at computation time: growing the graph bumps the
-//!   degree of exactly the MACs that gained edges, and
-//!   [`InferenceEngine::notify_trust_change`] bumps the epoch when the
-//!   trusted-record set changes (e.g. via `Embedder::feedback`), so
-//!   stale entries can never be read. Entries whose neighborhood
-//!   included an *untrusted* record — the streamed target itself (always
-//!   admitted into its own expansion) or a raw-neighborhood fallback —
-//!   are additionally pinned to the producing call, because their
-//!   segment depends on which records are being embedded right now.
 //!
 //! Every embedding takes the single-record path, one record at a time:
 //! streaming decisions exactly as the paper's online loop does, and fit
 //! time ([`crate::BiSage::embed_all_records`]) as one unfiltered engine
-//! walked over every training record, so a MAC's `l¹` is computed once
-//! and then served from the cache.
+//! walked over every training record. Each call computes the round-1
+//! aggregate `l¹` of every MAC the target hears afresh: a streamed
+//! record is untrusted while it is embedded, so no `l¹` from an earlier
+//! call could be reused for it.
 //!
 //! Callers must keep base rows initialized (`ensure_rows*`) before
 //! embedding; the engine never mutates the model or the graph.
 
 use rand::rngs::StdRng;
-use serde::Serialize;
 
 use gem_graph::{BipartiteGraph, MacId, NodeId, RecordId};
 use gem_nn::kernels;
@@ -56,56 +45,11 @@ use gem_nn::Tensor;
 
 use crate::bisage::{node_row, normalize_into, Aggregator, BiSage, Tree};
 
-/// Cached round-1 carrier aggregate `l¹` of one MAC node.
-struct MacEntry {
-    l1: Vec<f32>,
-    /// Trust epoch the entry was computed under.
-    trust_epoch: u64,
-    /// MAC degree at computation time; any new edge invalidates.
-    degree: u32,
-    /// Whether a trust filter was in effect (`Some` vs `None` caller).
-    filtered: bool,
-    /// `Some(call)` when the segment depended on untrusted records (the
-    /// streamed targets themselves, or a raw-neighborhood fallback) —
-    /// reusable only within the producing call.
-    volatile_call: Option<u64>,
-}
-
-/// Cache hit/miss counters of an [`InferenceEngine`].
-#[derive(Clone, Copy, Debug, Default, Serialize)]
-pub struct CacheStats {
-    /// MAC-aggregate lookups served from cache.
-    pub hits: u64,
-    /// MAC-aggregate lookups that recomputed the entry.
-    pub misses: u64,
-    /// Whole-cache invalidations (trust-epoch bumps from `invalidate`
-    /// or `notify_trust_change`).
-    pub invalidations: u64,
-}
-
-impl CacheStats {
-    /// Fraction of lookups served from cache (0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Forward-only embedding evaluator with persistent scratch and a
-/// per-MAC aggregate cache. See the module docs for the invalidation
-/// rules; the arithmetic is bitwise identical to the tape path.
+/// Forward-only embedding evaluator with persistent scratch; the
+/// arithmetic is bitwise identical to the tape path.
 pub struct InferenceEngine {
-    /// Per-MAC cache, indexed by MAC id.
-    entries: Vec<Option<MacEntry>>,
-    trust_epoch: u64,
-    call_id: u64,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
+    /// Round-1 MAC aggregates `l¹` computed over the engine's lifetime.
+    l1_computations: u64,
     // Single-record scratch.
     nbrs: Vec<(NodeId, f32)>,
     /// Target's capped level-0 expansion: `(mac id, normalized weight)`.
@@ -131,12 +75,7 @@ impl InferenceEngine {
     /// An empty engine; buffers warm up over the first few calls.
     pub fn new() -> Self {
         InferenceEngine {
-            entries: Vec::new(),
-            trust_epoch: 0,
-            call_id: 0,
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
+            l1_computations: 0,
             nbrs: Vec::new(),
             macs0: Vec::new(),
             h1: Vec::new(),
@@ -150,25 +89,10 @@ impl InferenceEngine {
         }
     }
 
-    /// Invalidates every cache entry (model refit, provisional-base
-    /// re-derivation — anything that may rewrite base rows without
-    /// changing a MAC's degree).
-    pub fn invalidate(&mut self) {
-        self.trust_epoch += 1;
-        self.invalidations += 1;
-    }
-
-    /// The trusted-record set changed (a `feedback` flip, or a streamed
-    /// record classified and admitted); entries computed under the old
-    /// trust assignment are no longer readable.
-    pub fn notify_trust_change(&mut self) {
-        self.trust_epoch += 1;
-        self.invalidations += 1;
-    }
-
-    /// Lifetime cache hit/miss/invalidation counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats { hits: self.hits, misses: self.misses, invalidations: self.invalidations }
+    /// Round-1 MAC aggregates `l¹` computed over the engine's lifetime
+    /// (one per MAC the target hears, on the two-round path).
+    pub(crate) fn l1_computations(&self) -> u64 {
+        self.l1_computations
     }
 
     /// Primary embedding of one record into a caller-owned buffer —
@@ -185,14 +109,12 @@ impl InferenceEngine {
         trusted: Option<&[bool]>,
         out: &mut Vec<f32>,
     ) {
-        self.call_id += 1;
         let d = model.cfg.dim;
         let aggr = model.cfg.aggregator;
         let wrapped = trusted.map(|bits| move |r: RecordId| r == record || trusted_bit(bits, r));
         let wref = wrapped.as_ref().map(|f| f as &(dyn Fn(RecordId) -> bool + Sync));
         if model.cfg.rounds != 2 {
-            // No cacheable mid-level for other depths; evaluate the whole
-            // (half-cone) tree tape-free instead.
+            // Other depths evaluate the whole (half-cone) tree tape-free.
             model.build_tree_into(
                 graph,
                 &[NodeId::Record(record)],
@@ -231,65 +153,30 @@ impl InferenceEngine {
         self.h1.clear();
         self.h1.extend_from_slice(self.lin.row(0));
 
-        // Round 1, MAC chain: every l¹ through the cache.
-        if self.entries.len() < graph.n_macs() {
-            self.entries.resize_with(graph.n_macs(), || None);
-        }
-        let filtered_now = trusted.is_some();
-        let all_targets_trusted = trusted.is_some_and(|b| trusted_bit(b, record));
+        // Round 1, MAC chain: each l¹ = norm(σ(W_l¹ · [l⁰ | Σ w̃ h⁰])),
+        // folded into Σ w̃ l¹ in expansion order as it is computed.
+        self.agg.clear();
+        self.agg.resize(d, 0.0);
         for i in 0..self.macs0.len() {
-            let (mid, _) = self.macs0[i];
-            let degree_now = graph.degree(NodeId::Mac(MacId(mid))) as u32;
-            let valid = self.entries[mid as usize].as_ref().is_some_and(|e| {
-                entry_valid(
-                    e,
-                    self.trust_epoch,
-                    self.call_id,
-                    degree_now,
-                    filtered_now,
-                    all_targets_trusted,
-                )
-            });
-            if valid {
-                self.hits += 1;
-                continue;
-            }
-            self.misses += 1;
+            let (mid, w) = self.macs0[i];
+            self.l1_computations += 1;
             model.neighborhood_into(graph, NodeId::Mac(MacId(mid)), wref, &mut self.nbrs);
             let w_total = seg_total(aggr, &self.nbrs);
-            let mut volatile = false;
             self.cat.reset_to(1, 2 * d);
             self.cat.row_mut(0)[..d].copy_from_slice(model.base_l.row(mac_row(mid)));
-            for &(n, w) in &self.nbrs {
+            for &(n, nw) in &self.nbrs {
                 let NodeId::Record(r) = n else { unreachable!("MAC neighbors are records") };
-                if filtered_now && !trusted_bit(trusted.unwrap(), r) {
-                    volatile = true;
-                }
-                let nw = seg_norm(aggr, w, w_total);
                 let src = model.base_h.row(node_row(NodeId::Record(r)));
-                kernels::axpy(&mut self.cat.row_mut(0)[d..], nw, src);
+                kernels::axpy(&mut self.cat.row_mut(0)[d..], seg_norm(aggr, nw, w_total), src);
             }
             self.lin.reset_to(1, d);
             self.cat.matmul_into(&model.w_l[0], &mut self.lin);
             act_tensor(&mut self.lin, model.cfg.activation);
             normalize_into(self.lin.row_mut(0));
-            store_entry(
-                &mut self.entries[mid as usize],
-                self.lin.row(0),
-                self.trust_epoch,
-                degree_now,
-                filtered_now,
-                volatile.then_some(self.call_id),
-            );
+            kernels::axpy(&mut self.agg, w, self.lin.row(0));
         }
 
         // Round 2: h² = norm(σ(W_h² · [h¹ | Σ w̃ l¹])).
-        self.agg.clear();
-        self.agg.resize(d, 0.0);
-        for &(mid, w) in &self.macs0 {
-            let e = self.entries[mid as usize].as_ref().expect("entry ensured above");
-            kernels::axpy(&mut self.agg, w, &e.l1);
-        }
         self.cat.reset_to(1, 2 * d);
         self.cat.row_mut(0)[..d].copy_from_slice(&self.h1);
         self.cat.row_mut(0)[d..].copy_from_slice(&self.agg);
@@ -428,51 +315,4 @@ fn mac_row(m: u32) -> usize {
 #[inline]
 fn act_tensor(t: &mut Tensor, act: Activation) {
     act.forward_slice(t.data_mut());
-}
-
-fn entry_valid(
-    e: &MacEntry,
-    trust_epoch: u64,
-    call_id: u64,
-    degree_now: u32,
-    filtered_now: bool,
-    all_targets_trusted: bool,
-) -> bool {
-    e.trust_epoch == trust_epoch
-        && e.degree == degree_now
-        && e.filtered == filtered_now
-        && match e.volatile_call {
-            // Volatile entries saw untrusted (target/fallback) rows:
-            // only the producing call's filter admits the same segment.
-            Some(call) => call == call_id,
-            // Clean entries depend on the trusted set alone — reusable
-            // across calls unless the current call's wrapped filter
-            // could admit an untrusted target into the segment.
-            None => !filtered_now || all_targets_trusted,
-        }
-}
-
-/// Overwrites a cache slot in place (no allocation once the slot has
-/// seen the row length).
-fn store_entry(
-    slot: &mut Option<MacEntry>,
-    l1: &[f32],
-    trust_epoch: u64,
-    degree: u32,
-    filtered: bool,
-    volatile_call: Option<u64>,
-) {
-    let e = slot.get_or_insert_with(|| MacEntry {
-        l1: Vec::new(),
-        trust_epoch,
-        degree,
-        filtered,
-        volatile_call,
-    });
-    e.trust_epoch = trust_epoch;
-    e.degree = degree;
-    e.filtered = filtered;
-    e.volatile_call = volatile_call;
-    e.l1.clear();
-    e.l1.extend_from_slice(l1);
 }

@@ -32,9 +32,11 @@ pub mod pipeline;
 pub use bisage::{obs_step_recorder, Aggregator, BiSage, BiSageConfig, StepEvent};
 pub use config::GemConfig;
 pub use detector::{BaselineHbos, Detection, EnhancedDetector};
+#[doc(hidden)]
+pub use gem::CacheStats;
 pub use gem::{Decision, Gem};
 pub use hbos::HistogramModel;
-pub use infer::{CacheStats, InferenceEngine};
+pub use infer::InferenceEngine;
 pub use pca::PcaRotation;
 pub use persist::{
     fnv1a64, fnv1a64_hex, FleetManifest, GemSnapshot, PersistError, PremisesEntry, MANIFEST_FILE,

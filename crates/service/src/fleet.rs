@@ -548,9 +548,7 @@ impl Fleet {
                     // seeding — the series keep running while cold).
                     match seed {
                         PremisesSeed::Hot { monitor, .. } => monitor.set_obs(obs.clone()),
-                        PremisesSeed::Cold { stored, .. } => {
-                            obs.seed(&stored.state.stats, gem_core::CacheStats::default())
-                        }
+                        PremisesSeed::Cold { stored, .. } => obs.seed(&stored.state.stats),
                     }
                     shard_monitor_obs.insert(*p, obs.clone());
                     monitor_obs.insert(*p, obs);
@@ -834,9 +832,9 @@ impl Fleet {
     }
 
     /// Per-premises statistics assembled purely from registry atomics —
-    /// no shard round-trip, no cache lock, no quiescing. Unlike
-    /// [`Fleet::stats`] this can lag in-flight epochs by a few counter
-    /// increments, but it never touches a shard thread.
+    /// no shard round-trip, no quiescing. Unlike [`Fleet::stats`] this
+    /// can lag in-flight epochs by a few counter increments, but it
+    /// never touches a shard thread.
     pub fn stats_snapshot(&self) -> Vec<(u64, MonitorStats)> {
         let mut all: Vec<(u64, MonitorStats)> = self
             .monitor_obs
@@ -1143,6 +1141,22 @@ mod tests {
             streams.push(ds.test.iter().map(|t| t.record.clone()).collect());
         }
         (monitors, streams)
+    }
+
+    /// A sidecar as an older release wrote it: `stats` also carries the
+    /// engine-cache counters `cache_hits` and `cache_misses`.
+    fn with_cache_counters(state: &MonitorState) -> serde::Value {
+        let serde::Value::Object(mut fields) = serde::Serialize::serialize(state) else {
+            unreachable!("a MonitorState serializes to an object")
+        };
+        for (name, value) in &mut fields {
+            if let ("stats", serde::Value::Object(stats)) = (name.as_str(), value) {
+                let at = stats.iter().position(|(k, _)| k == "epochs").expect("epochs field");
+                stats.insert(at, ("cache_misses".into(), serde::Value::U64(412)));
+                stats.insert(at, ("cache_hits".into(), serde::Value::U64(0)));
+            }
+        }
+        serde::Value::Object(fields)
     }
 
     fn decisions_of(events: &[FleetEvent], premises: u64) -> Vec<(f64, gem_signal::Label, f64)> {
@@ -1502,21 +1516,40 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (monitors, streams) = fleet_monitors(2);
         // The directory as a fleet writing JSON images left it: one
-        // `.json` image per premises and a manifest naming them.
+        // `.json` image per premises and a manifest naming them. The
+        // first premises' sidecar is one an older release wrote: running
+        // counters plus the engine-cache counters its stats carried.
         let mut entries = Vec::new();
         let mut replay = Vec::new();
-        for (p, m) in &monitors {
+        let mut reference = Vec::new();
+        for (i, (p, m)) in monitors.iter().enumerate() {
             let json = GemSnapshot::capture(m.gem()).to_json().unwrap();
             let file = format!("premises-{p}-0.json");
             std::fs::write(dir.join(&file), &json).unwrap();
+            let mut state = m.state();
+            let mut sidecar = serde::Serialize::serialize(&state);
+            if i == 0 {
+                state.stats = MonitorStats {
+                    scans: 10,
+                    in_decisions: 7,
+                    out_decisions: 3,
+                    alerts: 1,
+                    model_updates: 2,
+                    epochs: 4,
+                    sheds: 0,
+                };
+                sidecar = with_cache_counters(&state);
+            }
             entries.push(PremisesEntry {
                 premises_id: *p,
                 snapshot_file: file,
                 snapshot_checksum: gem_core::fnv1a64_hex(json.as_bytes()),
                 epochs: 0,
-                sidecar: serde::Serialize::serialize(&m.state()),
+                sidecar,
             });
             replay.push(GemSnapshot::from_json(&json).unwrap().restore().unwrap());
+            let gem = GemSnapshot::from_json(&json).unwrap().restore().unwrap();
+            reference.push(Monitor::from_state(gem, state));
         }
         FleetManifest::new(entries).save(&dir).unwrap();
         // One resident premises per shard: every record hydrates, the
@@ -1542,6 +1575,22 @@ mod tests {
         let events = drain_events(&fleet);
         fleet.resume();
         fleet.snapshot().unwrap();
+        // Every premises continues its restored counters: one epoch per
+        // record at `max_batch` 1, as a per-record reference counts them.
+        let stats = fleet.stats().unwrap();
+        for (((p, _), stream), monitor) in monitors.iter().zip(&streams).zip(&mut reference) {
+            for record in &stream[..6] {
+                monitor.process_batch(std::slice::from_ref(record));
+            }
+            let (want, got) = (monitor.stats(), stats.iter().find(|(q, _)| q == p).unwrap().1);
+            assert_eq!(
+                (got.scans, got.in_decisions, got.out_decisions, got.alerts),
+                (want.scans, want.in_decisions, want.out_decisions, want.alerts),
+                "premises {p}"
+            );
+            assert_eq!((got.model_updates, got.epochs), (want.model_updates, want.epochs));
+        }
+        assert_eq!(stats[0].1.scans, 16, "the older sidecar's 10 scans plus 6");
         let mut images: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .flatten()

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use gem_core::{CacheStats, Decision, Gem};
+use gem_core::{Decision, Gem};
 use gem_obs::TraceEvent;
 use gem_signal::{Label, SignalRecord};
 
@@ -64,10 +64,6 @@ pub struct MonitorStats {
     pub alerts: usize,
     /// Model self-updates performed.
     pub model_updates: usize,
-    /// Streaming-engine MAC-aggregate cache hits.
-    pub cache_hits: u64,
-    /// Streaming-engine MAC-aggregate cache misses.
-    pub cache_misses: u64,
     /// Decision epochs applied ([`Monitor::process_batch`] calls; each
     /// is one journal entry, the fleet's replay unit).
     #[serde(default)]
@@ -91,8 +87,7 @@ pub struct MonitorState {
     pub consecutive_in: usize,
     /// Whether an alert was active at capture.
     pub alert_active: bool,
-    /// Session statistics (without live cache counters, which restart
-    /// with the streaming engine).
+    /// Session statistics.
     pub stats: MonitorStats,
 }
 
@@ -107,17 +102,12 @@ pub struct Monitor {
     /// Registry-backed instruments, attached by the fleet (optional for
     /// standalone monitors).
     obs: Option<MonitorObs>,
-    /// Engine cache counters as of the last processed scan/batch —
-    /// lets [`Monitor::stats_snapshot`] report cache figures without
-    /// touching the engine at read time.
-    cache_mirror: CacheStats,
 }
 
 impl Monitor {
     /// Wraps a trained model.
     pub fn new(gem: Gem, cfg: MonitorConfig) -> Self {
         assert!(cfg.alert_after >= 1 && cfg.clear_after >= 1);
-        let cache_mirror = gem.cache_stats();
         Monitor {
             gem,
             cfg,
@@ -126,7 +116,6 @@ impl Monitor {
             alert_active: false,
             stats: MonitorStats::default(),
             obs: None,
-            cache_mirror,
         }
     }
 
@@ -134,8 +123,7 @@ impl Monitor {
     /// the session's existing statistics, so attaching to a recovered
     /// monitor continues its series instead of zeroing them.
     pub fn set_obs(&mut self, obs: MonitorObs) {
-        self.cache_mirror = self.gem.cache_stats();
-        obs.seed(&self.stats, self.cache_mirror);
+        obs.seed(&self.stats);
         self.obs = Some(obs);
     }
 
@@ -144,7 +132,6 @@ impl Monitor {
     /// the instruments kept running while the monitor was cold, so
     /// seeding again would double-count everything up to the spill.
     pub(crate) fn attach_obs(&mut self, obs: MonitorObs) {
-        self.cache_mirror = self.gem.cache_stats();
         self.obs = Some(obs);
     }
 
@@ -154,7 +141,6 @@ impl Monitor {
         let decision: Decision = self.gem.infer(record);
         let mut events = Vec::with_capacity(2);
         self.apply_decision(record.timestamp_s, &decision, &mut events);
-        self.mirror_cache();
         events
     }
 
@@ -177,21 +163,7 @@ impl Monitor {
             let decision = self.gem.infer(record);
             self.apply_decision(record.timestamp_s, &decision, &mut events);
         }
-        self.mirror_cache();
         events
-    }
-
-    /// Folds the engine's cache-counter movement since the last scan
-    /// into the registry counters and refreshes the mirror.
-    fn mirror_cache(&mut self) {
-        let cache = self.gem.cache_stats();
-        if let Some(obs) = &self.obs {
-            obs.cache_hits.add(cache.hits.saturating_sub(self.cache_mirror.hits));
-            obs.cache_misses.add(cache.misses.saturating_sub(self.cache_mirror.misses));
-            obs.cache_invalidations
-                .add(cache.invalidations.saturating_sub(self.cache_mirror.invalidations));
-        }
-        self.cache_mirror = cache;
     }
 
     /// Folds one decision into the statistics and the alert policy,
@@ -264,25 +236,9 @@ impl Monitor {
         self.alert_active
     }
 
-    /// Session statistics so far, with live engine cache counters
-    /// merged in (reads the engine on every call).
+    /// Session statistics so far (never touches the model).
     pub fn stats(&self) -> MonitorStats {
-        let cache = self.gem.cache_stats();
-        MonitorStats { cache_hits: cache.hits, cache_misses: cache.misses, ..self.stats }
-    }
-
-    /// Snapshot-consistent statistics without touching the engine:
-    /// cache figures come from the mirror captured at the end of the
-    /// last scan/batch, everything else from the same running counters
-    /// as [`Monitor::stats`]. The mirror lags live engine counters by
-    /// at most the in-flight batch — the right trade for a read path
-    /// that must never contend with inference.
-    pub fn stats_snapshot(&self) -> MonitorStats {
-        MonitorStats {
-            cache_hits: self.cache_mirror.hits,
-            cache_misses: self.cache_mirror.misses,
-            ..self.stats
-        }
+        self.stats
     }
 
     /// Borrow the underlying model (e.g. to snapshot it).
@@ -311,7 +267,6 @@ impl Monitor {
     /// [`MonitorState`] — the recovery path.
     pub fn from_state(gem: Gem, state: MonitorState) -> Monitor {
         assert!(state.cfg.alert_after >= 1 && state.cfg.clear_after >= 1);
-        let cache_mirror = gem.cache_stats();
         Monitor {
             gem,
             cfg: state.cfg,
@@ -320,7 +275,6 @@ impl Monitor {
             alert_active: state.alert_active,
             stats: state.stats,
             obs: None,
-            cache_mirror,
         }
     }
 }

@@ -31,12 +31,11 @@ pub struct ObsOptions {
     /// Per-shard trace-ring capacity (events retained; oldest are
     /// overwritten). 0 disables the rings entirely.
     pub ring_capacity: usize,
-    /// Register per-premises monitor series (`gem_monitor_*`,
-    /// `gem_infer_cache_*`). On by default; turn off for very large
-    /// fleets (100k+ tenants) where per-tenant label cardinality would
-    /// dominate RSS — shard- and fleet-level series stay on, and
-    /// [`crate::Fleet::stats`] still answers per-premises via the
-    /// shards.
+    /// Register per-premises monitor series (`gem_monitor_*`). On by
+    /// default; turn off for very large fleets (100k+ tenants) where
+    /// per-tenant label cardinality would dominate RSS — shard- and
+    /// fleet-level series stay on, and [`crate::Fleet::stats`] still
+    /// answers per-premises via the shards.
     pub per_premises: bool,
     /// Head-based request-trace sampling rate in `0..=1`: the fraction
     /// of records whose per-stage span is retained regardless of how
@@ -324,9 +323,6 @@ pub struct MonitorObs {
     pub(crate) alerts: Arc<Counter>,
     pub(crate) self_updates: Arc<Counter>,
     pub(crate) epochs: Arc<Counter>,
-    pub(crate) cache_hits: Arc<Counter>,
-    pub(crate) cache_misses: Arc<Counter>,
-    pub(crate) cache_invalidations: Arc<Counter>,
     pub(crate) ring: Arc<TraceRing>,
 }
 
@@ -352,24 +348,18 @@ impl MonitorObs {
             alerts: registry.counter("gem_monitor_alerts_total", labels),
             self_updates: registry.counter("gem_monitor_self_updates_total", labels),
             epochs: registry.counter("gem_monitor_epochs_total", labels),
-            cache_hits: outcome("gem_infer_cache_events_total", "hit"),
-            cache_misses: outcome("gem_infer_cache_events_total", "miss"),
-            cache_invalidations: outcome("gem_infer_cache_events_total", "invalidation"),
             ring,
         }
     }
 
     /// Seeds the counters with pre-existing session statistics (the
     /// recovery path: the registry is fresh but the monitor is not).
-    pub(crate) fn seed(&self, stats: &MonitorStats, cache: gem_core::CacheStats) {
+    pub(crate) fn seed(&self, stats: &MonitorStats) {
         self.decisions_in.add(stats.in_decisions as u64);
         self.decisions_out.add(stats.out_decisions as u64);
         self.alerts.add(stats.alerts as u64);
         self.self_updates.add(stats.model_updates as u64);
         self.epochs.add(stats.epochs);
-        self.cache_hits.add(cache.hits);
-        self.cache_misses.add(cache.misses);
-        self.cache_invalidations.add(cache.invalidations);
     }
 
     /// Assembles a [`MonitorStats`] purely from the registry atomics —
@@ -384,8 +374,6 @@ impl MonitorObs {
             out_decisions,
             alerts: self.alerts.get() as usize,
             model_updates: self.self_updates.get() as usize,
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
             epochs: self.epochs.get(),
             sheds,
         }

@@ -511,15 +511,15 @@ impl ShardWorker {
                 }
             }
             ShardMsg::Stats { ack } => {
-                // Snapshot-consistent reads: no engine access, so a
-                // stats poll never contends with inference. Cold
-                // premises answer from their resident sidecar.
+                // Monitor stats are plain counters, so a stats poll never
+                // touches a model. Cold premises answer from their
+                // resident sidecar.
                 let mut stats: Vec<(u64, MonitorStats)> = self
                     .sessions
                     .iter()
                     .map(|(p, s)| {
                         let st = match &s.residency {
-                            Residency::Hot(m) => m.stats_snapshot(),
+                            Residency::Hot(m) => m.stats(),
                             Residency::Cold => {
                                 s.stored
                                     .as_ref()
